@@ -61,7 +61,12 @@ func (r *bitReader) fill() error {
 		b := r.data[r.pos]
 		if b == 0xff {
 			if r.pos+1 >= len(r.data) {
-				return io.ErrUnexpectedEOF
+				// A lone 0xFF ends the data like a marker would: the
+				// bits already buffered stay readable.
+				if r.n == 0 {
+					return io.ErrUnexpectedEOF
+				}
+				return nil
 			}
 			next := r.data[r.pos+1]
 			if next == 0x00 {
@@ -97,7 +102,18 @@ func (r *bitReader) readBit() (uint8, error) {
 	return uint8(r.acc>>r.n) & 1, nil
 }
 
+// readBits reads n bits MSB-first. When the buffer holds (or one fill
+// brings) n bits it shifts and masks them out in one step; otherwise the
+// bit loop runs, so truncation, stuffing and marker errors surface exactly
+// where bit-at-a-time reading would report them.
 func (r *bitReader) readBits(n uint8) (uint16, error) {
+	if r.n < uint(n) {
+		_ = r.fill() // a short buffer falls through to the bit loop, which reports the error
+	}
+	if r.n >= uint(n) {
+		r.n -= uint(n)
+		return uint16(r.acc >> r.n & (1<<n - 1)), nil
+	}
 	var v uint16
 	for i := uint8(0); i < n; i++ {
 		b, err := r.readBit()

@@ -53,12 +53,13 @@ type DecodeOptions struct {
 	// Scale, when > 1, reconstructs at reduced resolution directly in the
 	// DCT domain: each 8x8 block inverse-transforms only its lowest
 	// (8/Scale)^2 frequencies through a reduced 4x4/2x2/1x1 IDCT, so IDCT
-	// and color conversion cost shrinks by ~Scale^2 while entropy decoding
-	// is unchanged. Supported values are 1 (or 0), 2, 4 and 8. The output
-	// approximates a full decode followed by a box downsample by Scale,
-	// with dimensions img.ScaledDims of the reconstructed region. Composes
-	// with ROI and EarlyStopRow, whose coordinates stay in full-resolution
-	// pixels.
+	// and color conversion cost shrinks by ~Scale^2. Entropy decoding still
+	// reads every symbol, but AC coefficients outside the (8/Scale)^2
+	// window are consumed without sign extension or store. Supported values
+	// are 1 (or 0), 2, 4 and 8. The output approximates a full decode
+	// followed by a box downsample by Scale, with dimensions img.ScaledDims
+	// of the reconstructed region. Composes with ROI and EarlyStopRow, whose
+	// coordinates stay in full-resolution pixels.
 	Scale int
 	// Dst, when non-nil, receives the decoded pixels: it is reshaped (the
 	// buffer is reused when large enough) and returned, so warm serving
@@ -392,9 +393,10 @@ func (d *decoder) parseDHT(p []byte) error {
 		if class > 1 || id > 3 {
 			return errors.New("jpeg: bad huffman table id")
 		}
+		counts := (*[16]byte)(p[1:17])
 		total := 0
-		for i := 0; i < 16; i++ {
-			total += int(p[1+i])
+		for _, n := range counts {
+			total += int(n)
 		}
 		if len(p) < 17+total {
 			return errTruncated
@@ -405,10 +407,13 @@ func (d *decoder) parseDHT(p []byte) error {
 			tab = &d.acTab[id]
 		}
 		// Rebuild only when the table actually changed since the last
-		// stream this decoder saw.
+		// stream this decoder saw; a cached segment was validated when
+		// it was built.
 		if *tab == nil || !bytes.Equal(d.dhtRaw[class][id], seg) {
-			var spec huffSpec
-			copy(spec.counts[:], seg[1:17])
+			if err := checkHuffSpec(counts); err != nil {
+				return err
+			}
+			spec := huffSpec{counts: *counts}
 			spec.values = append([]byte(nil), seg[17:]...)
 			*tab = buildDecHuff(spec)
 			d.dhtRaw[class][id] = append(d.dhtRaw[class][id][:0], seg...)
@@ -441,10 +446,24 @@ func (d *decoder) parseSOS(p []byte) error {
 	return nil
 }
 
+// keepCoeff[sub][k] reports whether zig-zag position k lies inside the
+// lowest sub x sub frequencies, the only ones reconstruction at sub
+// samples per block edge reads. keepCoeff[0] keeps nothing: it serves
+// blocks that are entropy-decoded but not reconstructed.
+var keepCoeff = func() (t [blockSize + 1][64]bool) {
+	for sub := range t {
+		for k, n := range zigzag {
+			t[sub][k] = n%blockSize < sub && n/blockSize < sub
+		}
+	}
+	return t
+}()
+
 // decodeBlock entropy-decodes one 8x8 block and, when reconstruct is set,
 // dequantizes, inverse-transforms at the requested sub-resolution (sub x
 // sub samples, sub = 8/scale) and stores the samples into dst at block
-// coordinates (bx, by) on the scaled grid.
+// coordinates (bx, by) on the scaled grid. AC coefficients outside the
+// reconstructed window are consumed but neither sign-extended nor stored.
 func (d *decoder) decodeBlock(comp int, reconstruct bool, dst *plane, bx, by, sub int) error {
 	c := &d.comps[comp]
 	dc := d.dcTab[c.dcSel]
@@ -459,12 +478,16 @@ func (d *decoder) decodeBlock(comp int, reconstruct bool, dst *plane, bx, by, su
 	if err != nil {
 		return err
 	}
-	coeffs := &d.coeffs
-	for i := range coeffs {
-		coeffs[i] = 0
-	}
 	d.dcPred[comp] += extendMagnitude(bits, sym)
-	coeffs[0] = d.dcPred[comp]
+	coeffs := &d.coeffs
+	keep := &keepCoeff[0]
+	if reconstruct {
+		keep = &keepCoeff[sub]
+		for v := 0; v < sub; v++ {
+			clear(coeffs[v*blockSize : v*blockSize+sub])
+		}
+		coeffs[0] = d.dcPred[comp]
+	}
 	// AC.
 	for k := 1; k < 64; {
 		sym, err := ac.decode(br)
@@ -488,7 +511,9 @@ func (d *decoder) decodeBlock(comp int, reconstruct bool, dst *plane, bx, by, su
 		if err != nil {
 			return err
 		}
-		coeffs[zigzag[k]] = extendMagnitude(bits, size)
+		if keep[k] {
+			coeffs[zigzag[k]] = extendMagnitude(bits, size)
+		}
 		k++
 	}
 	if !reconstruct {

@@ -27,16 +27,48 @@ func buildEncHuff(spec huffSpec) *encHuff {
 	return &h
 }
 
-// decHuff is a decoder-side Huffman table using the standard JPEG
-// min-code/max-code/value-pointer decode procedure (T.81 Annex F.2.2.3).
+// lookupBits is the code length the decode lookup table resolves in one
+// step. Nine bits cover nearly every symbol of the Annex K tables.
+const lookupBits = 9
+
+// decHuff is a decoder-side Huffman table. Codes of at most lookupBits bits
+// resolve through a direct lookup; longer codes, and any code read while
+// fewer than lookupBits bits remain, use the standard JPEG
+// min-code/max-code/value-pointer procedure (T.81 Annex F.2.2.3).
 type decHuff struct {
+	// lookup is indexed by the next lookupBits bits of the stream and holds
+	// len<<8 | symbol for the code they start with, or 0 when that code is
+	// longer than lookupBits.
+	lookup  [1 << lookupBits]uint16
 	minCode [17]int32
 	maxCode [17]int32 // -1 when no codes of this length
 	valPtr  [17]int32
 	values  []byte
 }
 
-// buildDecHuff derives the decode tables from a huffSpec.
+// checkHuffSpec rejects code-length counts that do not describe a prefix
+// code: more than 256 symbols, or more codes of some length than that
+// length leaves room for (the Kraft inequality).
+func checkHuffSpec(counts *[16]byte) error {
+	code, total := 0, 0
+	for length := 1; length <= 16; length++ {
+		n := int(counts[length-1])
+		code += n
+		total += n
+		if code > 1<<length {
+			return fmt.Errorf("jpeg: oversubscribed huffman table (%d-bit codes)", length)
+		}
+		code <<= 1
+	}
+	if total > 256 {
+		return fmt.Errorf("jpeg: huffman table has %d symbols", total)
+	}
+	return nil
+}
+
+// buildDecHuff derives the decode tables from a huffSpec. The lookup fill
+// is bounds-checked and first-writer-wins, so even counts that
+// checkHuffSpec would reject cannot index past the table.
 func buildDecHuff(spec huffSpec) *decHuff {
 	h := &decHuff{values: append([]byte(nil), spec.values...)}
 	code := int32(0)
@@ -48,6 +80,9 @@ func buildDecHuff(spec huffSpec) *decHuff {
 		} else {
 			h.valPtr[length] = k
 			h.minCode[length] = code
+			if length <= lookupBits {
+				h.fillLookup(code, n, k, length)
+			}
 			code += n
 			k += n
 			h.maxCode[length] = code - 1
@@ -57,8 +92,34 @@ func buildDecHuff(spec huffSpec) *decHuff {
 	return h
 }
 
+// fillLookup enters the n codes of the given length starting at code (and
+// their symbols starting at values[k]) into every lookup slot they prefix.
+func (h *decHuff) fillLookup(code, n, k int32, length int) {
+	shift := uint(lookupBits - length)
+	for i := int32(0); i < n && int(k+i) < len(h.values); i++ {
+		entry := uint16(length)<<8 | uint16(h.values[k+i])
+		for j := (code + i) << shift; j < (code+i+1)<<shift; j++ {
+			if j >= int32(len(h.lookup)) {
+				return
+			}
+			if h.lookup[j] == 0 {
+				h.lookup[j] = entry
+			}
+		}
+	}
+}
+
 // decode reads one Huffman-coded symbol from the bit reader.
 func (h *decHuff) decode(br *bitReader) (byte, error) {
+	if br.n < lookupBits {
+		_ = br.fill() // a short buffer falls through to the walk, which reports the error
+	}
+	if br.n >= lookupBits {
+		if e := h.lookup[br.acc>>(br.n-lookupBits)&(1<<lookupBits-1)]; e != 0 {
+			br.n -= uint(e >> 8)
+			return byte(e), nil
+		}
+	}
 	code := int32(0)
 	for length := 1; length <= 16; length++ {
 		bit, err := br.readBit()
