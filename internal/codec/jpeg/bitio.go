@@ -50,6 +50,10 @@ type bitReader struct {
 
 var errMarker = fmt.Errorf("jpeg: marker in entropy stream")
 
+// fill tops the buffer up to more than 24 bits, stopping early at the end
+// of the data or at a marker. It returns an error only when no bit is
+// buffered and none can be read, so a caller that finds enough bits
+// buffered afterwards may ignore it.
 func (r *bitReader) fill() error {
 	for r.n <= 24 {
 		if r.pos >= len(r.data) {

@@ -38,7 +38,7 @@ const lookupBits = 9
 type decHuff struct {
 	// lookup is indexed by the next lookupBits bits of the stream and holds
 	// len<<8 | symbol for the code they start with, or 0 when that code is
-	// longer than lookupBits.
+	// longer than lookupBits or the bits start no code.
 	lookup  [1 << lookupBits]uint16
 	minCode [17]int32
 	maxCode [17]int32 // -1 when no codes of this length

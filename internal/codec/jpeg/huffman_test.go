@@ -1,7 +1,6 @@
 package jpeg
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -164,82 +163,47 @@ func TestHuffmanDecodeMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// dhtSegment renders a DHT payload for one DC table 0.
-func dhtSegment(counts [16]byte, values []byte) []byte {
-	seg := append([]byte{0x00}, counts[:]...)
-	return append(seg, values...)
-}
-
-// TestParseDHTRejectsOversubscribedTable: counts that leave no room for
-// the codes they declare (five 1-bit codes) or declare more than 256
-// symbols must fail parsing instead of building a table.
-func TestParseDHTRejectsOversubscribedTable(t *testing.T) {
-	five := [16]byte{5}
-	tooMany := [16]byte{8: 255, 9: 2} // 257 symbols, yet within Kraft
-	complete := [16]byte{2}           // codes 0 and 1 fill the space: valid
+// TestParseRejectsOversubscribedHuffmanTable: counts that leave no room
+// for the codes they declare (five 1-bit codes) or declare more than 256
+// symbols must fail Parse with an error instead of building a table.
+func TestParseRejectsOversubscribedHuffmanTable(t *testing.T) {
 	cases := []struct {
 		name   string
 		counts [16]byte
 		ok     bool
 	}{
-		{"five-1-bit-codes", five, false},
-		{"257-symbols", tooMany, false},
-		{"complete-1-bit", complete, true},
+		{"five-1-bit-codes", [16]byte{5}, false},
+		{"257-symbols", [16]byte{8: 255, 9: 2}, false}, // within Kraft, too many symbols
+		{"complete-1-bit", [16]byte{2}, true},          // codes 0 and 1 fill the space
 	}
+	valid := Encode(testImage(16, 16, 3), EncodeOptions{})
 	for _, c := range cases {
-		total := 0
+		payload := append([]byte{0x00}, c.counts[:]...) // DC table 0
 		for _, n := range c.counts {
-			total += int(n)
+			payload = append(payload, make([]byte, n)...)
 		}
-		values := make([]byte, total)
-		for i := range values {
-			values[i] = byte(i)
+		seg := append([]byte{0xff, 0xc4, byte((len(payload) + 2) >> 8), byte(len(payload) + 2)}, payload...)
+		stream := append(append([]byte{0xff, 0xd8}, seg...), valid[2:]...)
+		var dec Decoder
+		_, _, err := dec.Parse(stream)
+		if c.ok != (err == nil) {
+			t.Errorf("%s: Parse error %v, want ok=%v", c.name, err, c.ok)
 		}
-		var d decoder
-		err := d.parseDHT(dhtSegment(c.counts, values))
-		if c.ok && err != nil {
-			t.Errorf("%s: rejected: %v", c.name, err)
-		}
-		if !c.ok && (err == nil || d.dcTab[0] != nil) {
-			t.Errorf("%s: accepted (err %v)", c.name, err)
-		}
-	}
-}
-
-// TestOversubscribedStreamErrors drives an oversubscribed DHT through the
-// public Parse path of an otherwise valid stream: an error, not a panic.
-func TestOversubscribedStreamErrors(t *testing.T) {
-	enc := Encode(testImage(16, 16, 3), EncodeOptions{})
-	stream := stripSegments(t, enc, 0xc4)
-	payload := dhtSegment([16]byte{5}, []byte{0, 1, 2, 3, 4})
-	seg := []byte{0xff, 0xc4, byte((len(payload) + 2) >> 8), byte(len(payload) + 2)}
-	stream = append(append(append([]byte(nil), stream[:2]...), append(seg, payload...)...), stream[2:]...)
-	var dec Decoder
-	if _, _, err := dec.Parse(stream); err == nil {
-		t.Fatal("oversubscribed DHT accepted")
 	}
 }
 
 // TestBuildDecHuffBoundsOversubscribed: even if an oversubscribed table
-// reached the builder, its lookup fill stays in bounds and decoding
-// returns symbols or errors without panicking.
+// reached the builder, its lookup fill stays in bounds, first writer
+// wins, and decoding returns without panicking.
 func TestBuildDecHuffBoundsOversubscribed(t *testing.T) {
-	specs := []huffSpec{
-		{counts: [16]byte{5}, values: []byte{0, 1, 2, 3, 4}},
-		{counts: [16]byte{0, 9, 3: 255}, values: bytes.Repeat([]byte{7}, 264)},
+	h := buildDecHuff(huffSpec{counts: [16]byte{5}, values: []byte{10, 11, 12, 13, 14}})
+	if h.lookup[0] != 1<<8|10 || h.lookup[len(h.lookup)-1] != 1<<8|11 {
+		t.Fatalf("lookup ends %#x, %#x; want the 1-bit codes 0 and 1", h.lookup[0], h.lookup[len(h.lookup)-1])
 	}
-	for si, spec := range specs {
-		h := buildDecHuff(spec)
-		br := &bitReader{data: bytes.Repeat([]byte{0xa5, 0x3c, 0xff, 0x00}, 8)}
-		for i := 0; i < 64; i++ {
-			if _, err := h.decode(br); err != nil {
-				break
-			}
-		}
-		for j, e := range h.lookup {
-			if e != 0 && (e>>8 < 1 || e>>8 > lookupBits) {
-				t.Fatalf("spec %d: lookup[%d] = %#x has a bad length", si, j, e)
-			}
+	br := &bitReader{data: []byte{0xa5, 0x3c, 0xff, 0x00}}
+	for i := 0; i < 64; i++ {
+		if _, err := h.decode(br); err != nil {
+			break
 		}
 	}
 }
