@@ -393,10 +393,9 @@ func (d *decoder) parseDHT(p []byte) error {
 		if class > 1 || id > 3 {
 			return errors.New("jpeg: bad huffman table id")
 		}
-		counts := (*[16]byte)(p[1:17])
 		total := 0
-		for _, n := range counts {
-			total += int(n)
+		for i := 0; i < 16; i++ {
+			total += int(p[1+i])
 		}
 		if len(p) < 17+total {
 			return errTruncated
@@ -410,10 +409,11 @@ func (d *decoder) parseDHT(p []byte) error {
 		// stream this decoder saw; a cached segment was validated when
 		// it was built.
 		if *tab == nil || !bytes.Equal(d.dhtRaw[class][id], seg) {
-			if err := checkHuffSpec(counts); err != nil {
+			var spec huffSpec
+			copy(spec.counts[:], seg[1:17])
+			if err := checkHuffSpec(&spec.counts); err != nil {
 				return err
 			}
-			spec := huffSpec{counts: *counts}
 			spec.values = append([]byte(nil), seg[17:]...)
 			*tab = buildDecHuff(spec)
 			d.dhtRaw[class][id] = append(d.dhtRaw[class][id][:0], seg...)
