@@ -193,7 +193,7 @@ func TestParseRejectsOversubscribedHuffmanTable(t *testing.T) {
 }
 
 // TestBuildDecHuffBoundsOversubscribed: even if an oversubscribed table
-// reached the builder, its lookup fill stays in bounds, first writer
+// reached buildDecHuff, its lookup fill stays in bounds, first writer
 // wins, and decoding returns without panicking.
 func TestBuildDecHuffBoundsOversubscribed(t *testing.T) {
 	h := buildDecHuff(huffSpec{counts: [16]byte{5}, values: []byte{10, 11, 12, 13, 14}})
