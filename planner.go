@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"smol/internal/blazeit"
@@ -114,23 +115,125 @@ func (r *Runtime) kernelFor(ent *rtEntry) string {
 	}
 }
 
-// selKey memoizes planner decisions per (input class, QoS) pair.
+// selKey memoizes still-image planner decisions per (input class, QoS)
+// pair.
 type selKey struct {
 	w, h  int
 	codec Codec
 	qos   QoS
 }
 
-// selection is one memoized planner decision.
+// selection is one memoized still-image or video planner decision.
+// Still-image plans leave choice zero.
 type selection struct {
-	entry *rtEntry
-	plan  ServePlan
+	entry  *rtEntry
+	choice videoChoice
+	plan   ServePlan
 }
 
-// maxCachedSelections bounds the planner's memo; beyond it the memo resets
+// maxCachedSelections bounds each planner memo; beyond it the memo resets
 // (selections are cheap to recompute — the expensive parts, calibration
 // and ingest-plan compilation, have their own caches).
 const maxCachedSelections = 256
+
+// planMemo memoizes one planner's decisions. It holds at most
+// maxCachedSelections entries, resetting when full, and never caches an
+// error. compute runs outside the lock: the SELECT planner's compute
+// consults the video planner's memo.
+type planMemo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// get returns the memoized decision for key, running compute on a miss.
+// Concurrent misses on one key may each compute; the decisions are equal.
+func (c *planMemo[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	c.mu.Lock()
+	v, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	c.mu.Lock()
+	if c.m == nil || len(c.m) >= maxCachedSelections {
+		c.m = make(map[K]V)
+	}
+	c.m[key] = v
+	c.mu.Unlock()
+	return v, nil
+}
+
+// candidate is one point of a plan search: a zoo entry, the video choice
+// it executes with (zero for still images), and its cost-model plan.
+type candidate struct {
+	ent    *rtEntry
+	choice videoChoice
+	plan   costmodel.Plan
+}
+
+// planEnv is the cost-model environment every plan search runs in: this
+// runtime's worker count and batch size under the live calibration.
+func (r *Runtime) planEnv(cal *hw.Calibration) costmodel.Env {
+	env := costmodel.DefaultEnv()
+	env.VCPUs = r.workerCount()
+	env.BatchSize = r.batchSize()
+	env.Calibration = cal
+	return env
+}
+
+// pick costs every candidate under env and lowers the one costmodel.Select
+// chooses under qos. Exact throughput ties resolve by candidate order, so
+// callers enumerate candidates in a fixed order.
+func (r *Runtime) pick(cands []candidate, env costmodel.Env, qos QoS) (selection, error) {
+	plans := make([]costmodel.Plan, len(cands))
+	for i, c := range cands {
+		plans[i] = c.plan
+	}
+	evals, err := costmodel.Evaluate(plans, env)
+	if err != nil {
+		return selection{}, err
+	}
+	best, err := costmodel.Select(evals, costmodel.Constraint{
+		MinAccuracy:  qos.MinAccuracy,
+		MaxLatencyUS: qos.MaxLatencyUS,
+	})
+	if err != nil {
+		return selection{}, err
+	}
+	for _, c := range cands {
+		if c.plan.DNN.Name == best.Plan.DNN.Name &&
+			c.plan.Format.Name == best.Plan.Format.Name &&
+			c.plan.Format.NoDeblock == best.Plan.Format.NoDeblock {
+			return selection{entry: c.ent, choice: c.choice, plan: r.servePlan(c.ent, c.choice, best)}, nil
+		}
+	}
+	return selection{}, fmt.Errorf("smol: planner lost track of its winner %s", best.Plan)
+}
+
+// servePlan lowers a chosen plan into the ServePlan a request reports. Its
+// Accuracy is the one the QoS floor was checked against: the entry's
+// measured accuracy minus any decode-fidelity penalties.
+func (r *Runtime) servePlan(ent *rtEntry, choice videoChoice, ev costmodel.Evaluated) ServePlan {
+	return ServePlan{
+		Entry:               ent.name,
+		Variant:             ent.Variant,
+		InputRes:            ent.InputRes,
+		Precision:           ent.PrecisionLabel(),
+		Kernel:              r.kernelFor(ent),
+		Accuracy:            ev.Accuracy,
+		InputFormat:         ev.Plan.Format.Name,
+		DecodeScale:         ev.Plan.Preproc.DecodeScale(),
+		Deblock:             choice.deblock,
+		Stream:              choice.stream,
+		Preproc:             ev.Plan.Preproc.Describe(),
+		PredictedThroughput: ev.Throughput,
+		PredictedLatencyUS:  ev.LatencyUS,
+	}
+}
 
 // planFor picks the zoo entry for one request: it peeks at the first
 // input's header to establish the request's input class, builds the
@@ -154,9 +257,7 @@ func (r *Runtime) planFor(inputs []MediaInput, qos QoS) (*rtEntry, ServePlan, er
 		if best == nil {
 			return nil, ServePlan{}, fmt.Errorf("smol: no zoo entry meets accuracy floor %v", qos.MinAccuracy)
 		}
-		return best, ServePlan{Entry: best.name, Variant: best.Variant,
-			InputRes: best.InputRes, Precision: best.PrecisionLabel(),
-			Kernel: r.kernelFor(best), Accuracy: best.Accuracy, DecodeScale: 1}, nil
+		return best, r.servePlan(best, videoChoice{}, costmodel.Evaluated{Accuracy: best.Accuracy}), nil
 	}
 	if inputs[0].Codec == CodecVideo {
 		return nil, ServePlan{}, fmt.Errorf("smol: video streams are served by ClassifyVideo/EstimateMean, not Classify")
@@ -166,33 +267,16 @@ func (r *Runtime) planFor(inputs []MediaInput, qos QoS) (*rtEntry, ServePlan, er
 		return nil, ServePlan{}, fmt.Errorf("smol: reading input header: %w", err)
 	}
 	key := selKey{w: w, h: h, codec: inputs[0].Codec, qos: qos}
-	r.selMu.Lock()
-	sel, ok := r.sels[key]
-	r.selMu.Unlock()
-	if ok {
-		return sel.entry, sel.plan, nil
-	}
-	sel, err = r.selectPlan(key)
+	sel, err := r.stills.get(key, func() (selection, error) { return r.selectPlan(key) })
 	if err != nil {
 		return nil, ServePlan{}, err
 	}
-	r.selMu.Lock()
-	if len(r.sels) >= maxCachedSelections {
-		r.sels = make(map[selKey]selection)
-	}
-	r.sels[key] = sel
-	r.selMu.Unlock()
 	return sel.entry, sel.plan, nil
 }
 
 // selectPlan runs the calibrated plan search for one (input class, QoS)
-// pair and lowers the winner into a ServePlan.
+// pair.
 func (r *Runtime) selectPlan(key selKey) (selection, error) {
-	env := costmodel.DefaultEnv()
-	env.VCPUs = r.workerCount()
-	env.BatchSize = r.batchSize()
-	env.Calibration = r.calibrate()
-
 	kind := hw.FormatJPEG
 	if key.codec == CodecPNG {
 		kind = hw.FormatPNG
@@ -205,7 +289,7 @@ func (r *Runtime) selectPlan(key selKey) (selection, error) {
 	// Build one candidate plan per zoo entry, with the same joint
 	// decode-scale + preprocessing optimization the ingest compiler runs,
 	// so the predicted plan is the one the runtime will actually execute.
-	plans := make([]costmodel.Plan, 0, len(r.entries))
+	cands := make([]candidate, 0, len(r.entries))
 	for _, ent := range r.entries {
 		var scales []int
 		if key.codec == CodecJPEG && !r.cfg.DisableScaledDecode {
@@ -237,39 +321,13 @@ func (r *Runtime) selectPlan(key selKey) (selection, error) {
 		if sc := pplan.DecodeScale(); sc > 1 {
 			p.Format.DecodeScale = sc
 		}
-		plans = append(plans, p)
+		cands = append(cands, candidate{ent: ent, plan: p})
 	}
-	evals, err := costmodel.Evaluate(plans, env)
-	if err != nil {
-		return selection{}, err
-	}
-	best, err := costmodel.Select(evals, costmodel.Constraint{
-		MinAccuracy:  key.qos.MinAccuracy,
-		MaxLatencyUS: key.qos.MaxLatencyUS,
-	})
+	sel, err := r.pick(cands, r.planEnv(r.calibrate()), key.qos)
 	if err != nil {
 		return selection{}, fmt.Errorf("smol: no zoo entry satisfies QoS %+v: %w", key.qos, err)
 	}
-	ent := r.byName[best.Plan.DNN.Name]
-	if ent == nil {
-		return selection{}, fmt.Errorf("smol: planner chose unknown entry %q", best.Plan.DNN.Name)
-	}
-	return selection{
-		entry: ent,
-		plan: ServePlan{
-			Entry:               ent.name,
-			Variant:             ent.Variant,
-			InputRes:            ent.InputRes,
-			Precision:           ent.PrecisionLabel(),
-			Kernel:              r.kernelFor(ent),
-			Accuracy:            ent.Accuracy,
-			InputFormat:         format.Name,
-			DecodeScale:         best.Plan.Preproc.DecodeScale(),
-			Preproc:             best.Plan.Preproc.Describe(),
-			PredictedThroughput: best.Throughput,
-			PredictedLatencyUS:  best.LatencyUS,
-		},
-	}, nil
+	return sel, nil
 }
 
 // peekDims reads the encoded dimensions from an input's header without
@@ -576,23 +634,9 @@ func (r *Runtime) planSelect(infos []vid.Info, qos QoS, stride int, mode Deblock
 		conf:    minConf > 0,
 		cached:  strings.Join(cachedKeys, ","),
 	}
-	r.selMu.Lock()
-	sel, ok := r.selectSels[key]
-	r.selMu.Unlock()
-	if ok {
-		return sel, nil
-	}
-	sel, err := r.selectSelectPlan(infos, qos, stride, mode, limit, minConf, cached)
-	if err != nil {
-		return selectSelection{}, err
-	}
-	r.selMu.Lock()
-	if len(r.selectSels) >= maxCachedSelections {
-		r.selectSels = make(map[selectSelKey]selectSelection)
-	}
-	r.selectSels[key] = sel
-	r.selMu.Unlock()
-	return sel, nil
+	return r.selects.get(key, func() (selectSelection, error) {
+		return r.selectSelectPlan(infos, qos, stride, mode, limit, minConf, cached)
+	})
 }
 
 // selectSelectPlan runs the candidate enumeration for one memoized
@@ -606,12 +650,20 @@ func (r *Runtime) selectSelectPlan(infos []vid.Info, qos QoS, stride int, mode D
 	if err != nil {
 		return selectSelection{}, err
 	}
-	env := costmodel.DefaultEnv()
-	env.VCPUs = r.workerCount()
-	env.BatchSize = r.batchSize()
-	env.Calibration = r.videoCalibrate()
+	env := r.planEnv(r.videoCalibrate())
+	// stageCosts prices one (entry, stream) pairing per frame.
+	stageCosts := func(e *rtEntry, stream int, deblock bool, framesPerSample int, gopSeek bool) (costmodel.StageCosts, error) {
+		p, err := r.videoPlan(e, stream, infos[stream], deblock, framesPerSample, gopSeek)
+		if err != nil {
+			return costmodel.StageCosts{}, err
+		}
+		return costmodel.Costs(p, env)
+	}
 
-	verifyCosts, err := r.selectStageCosts(ent, infos[choice.stream], choice.stream, !choice.deblock, true, env)
+	// Verification seeks: a sampled frame costs its GOP prefix. The cost
+	// model caps the FramesPerSample term under GOPSeek, so pass the GOP
+	// interval as the span.
+	verifyCosts, err := stageCosts(ent, choice.stream, choice.deblock, max(infos[choice.stream].GOP, 1), true)
 	if err != nil {
 		return selectSelection{}, err
 	}
@@ -679,7 +731,9 @@ func (r *Runtime) selectSelectPlan(infos []vid.Info, qos QoS, stride int, mode D
 		// here on exec cost, matching the cascade intent: cheap quantized
 		// scoring, full-precision verification.
 		for _, pe := range r.entries {
-			costs, err := r.selectStageCosts(pe, info, si, false, false, env)
+			// The proxy pass decodes every frame sequentially at full
+			// fidelity.
+			costs, err := stageCosts(pe, si, true, 1, false)
 			if err != nil {
 				continue
 			}
@@ -694,41 +748,4 @@ func (r *Runtime) selectSelectPlan(infos []vid.Info, qos QoS, stride int, mode D
 		return selectSelection{}, fmt.Errorf("smol: no selection plan found")
 	}
 	return best, nil
-}
-
-// selectStageCosts prices one (entry, stream) pairing per frame: decode at
-// the stream's geometry, the jointly optimized preprocessing chain, and
-// the calibrated execution cost. GOP-seek plans cap the decode term at one
-// GOP prefix per sample (verification); sequential plans pay the full
-// per-frame decode (proxy pass).
-func (r *Runtime) selectStageCosts(ent *rtEntry, info vid.Info, stream int, noDeblock, gopSeek bool, env costmodel.Env) (costmodel.StageCosts, error) {
-	spec := preproc.ServeSpec(info.W, info.H, ent.InputRes, r.cfg.Mean, r.cfg.Std, nil)
-	pplan, err := preproc.Optimize(spec)
-	if err != nil {
-		return costmodel.StageCosts{}, err
-	}
-	fps := 1
-	if gopSeek {
-		// Verification seeks: a sampled frame costs its GOP prefix. The
-		// cost model caps the FramesPerSample term under GOPSeek, so pass
-		// the GOP interval as the span.
-		fps = info.GOP
-		if fps < 1 {
-			fps = 1
-		}
-	}
-	return costmodel.Costs(costmodel.Plan{
-		DNN: costmodel.DNNChoice{Name: ent.name, InputRes: ent.InputRes, Accuracy: ent.Accuracy},
-		Format: costmodel.Format{
-			Name:            fmt.Sprintf("svid#%d %dx%d", stream, info.W, info.H),
-			Kind:            hw.FormatVideoH264,
-			W:               info.W,
-			H:               info.H,
-			NoDeblock:       noDeblock,
-			GOP:             info.GOP,
-			FramesPerSample: fps,
-			GOPSeek:         gopSeek,
-		},
-		Preproc: pplan, PreprocSpec: spec,
-	}, env)
 }

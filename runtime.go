@@ -133,15 +133,15 @@ type Runtime struct {
 
 	// Planner state: the live calibration is measured once per runtime
 	// (the video decode reference lazily, on the first video request), and
-	// plan selections are memoized per (input class, QoS) — still-image
-	// classes in sels, video stream-geometry classes in videoSels.
+	// each planner memoizes its decisions per request class and QoS: still
+	// images by input class, video by stream-geometry set, SELECT by
+	// stream set, query shape and cached score tables.
 	calOnce    sync.Once
 	vidCalOnce sync.Once
 	cal        *hw.Calibration
-	selMu      sync.Mutex
-	sels       map[selKey]selection
-	videoSels  map[videoSelKey]videoSelection
-	selectSels map[selectSelKey]selectSelection
+	stills     planMemo[selKey, selection]
+	videos     planMemo[videoSelKey, selection]
+	selects    planMemo[selectSelKey, selectSelection]
 }
 
 // rtEntry is one zoo entry lowered for serving: its compiled inference
@@ -216,11 +216,8 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	// on other runtimes keep their results, only their speed tier moves.
 	tensor.SetF32SIMD(!cfg.DisableSIMD)
 	r := &Runtime{
-		cfg:        cfg,
-		byName:     make(map[string]*rtEntry),
-		sels:       make(map[selKey]selection),
-		videoSels:  make(map[videoSelKey]videoSelection),
-		selectSels: make(map[selectSelKey]selectSelection),
+		cfg:    cfg,
+		byName: make(map[string]*rtEntry),
 	}
 	r.ingest.init(maxPlans)
 	for _, e := range zoo.Entries() {

@@ -146,7 +146,7 @@ func (r *Runtime) deblockPenalty() (float64, bool) {
 // videoSelKey memoizes video planner decisions per (stream-geometry set,
 // QoS, stride, deblock mode): the plan search depends on the streams only
 // through their probed headers, so requests over same-shaped streams reuse
-// the decision — the video counterpart of the still planner's selKey memo.
+// the decision.
 type videoSelKey struct {
 	streams string
 	qos     QoS
@@ -156,13 +156,6 @@ type videoSelKey struct {
 	// capped at one GOP prefix per sample instead of the whole stride span,
 	// which can shift the entry/rendition trade-off.
 	seek bool
-}
-
-// videoSelection is one memoized video planner decision.
-type videoSelection struct {
-	entry  *rtEntry
-	choice videoChoice
-	plan   ServePlan
 }
 
 // planVideo runs the video plan search: every zoo entry against every
@@ -207,33 +200,18 @@ func (r *Runtime) planVideoInfos(infos []vid.Info, qos QoS, stride int, mode Deb
 		sig += fmt.Sprintf("%dx%d/g%d;", info.W, info.H, info.GOP)
 	}
 	key := videoSelKey{streams: sig, qos: qos, stride: stride, mode: mode, seek: seek}
-	r.selMu.Lock()
-	sel, ok := r.videoSels[key]
-	r.selMu.Unlock()
-	if ok {
-		return sel.entry, sel.choice, sel.plan, nil
-	}
-	sel, err := r.selectVideoPlan(infos, qos, stride, mode, seek)
+	sel, err := r.videos.get(key, func() (selection, error) {
+		return r.selectVideoPlan(infos, qos, stride, mode, seek)
+	})
 	if err != nil {
 		return nil, videoChoice{}, ServePlan{}, err
 	}
-	r.selMu.Lock()
-	if len(r.videoSels) >= maxCachedSelections {
-		r.videoSels = make(map[videoSelKey]videoSelection)
-	}
-	r.videoSels[key] = sel
-	r.selMu.Unlock()
 	return sel.entry, sel.choice, sel.plan, nil
 }
 
 // selectVideoPlan runs the candidate enumeration and calibrated selection
 // for one memoized video planning class.
-func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode DeblockMode, seek bool) (videoSelection, error) {
-	env := costmodel.DefaultEnv()
-	env.VCPUs = r.workerCount()
-	env.BatchSize = r.batchSize()
-	env.Calibration = r.videoCalibrate()
-
+func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode DeblockMode, seek bool) (selection, error) {
 	penalty, allowNoDeblock := r.deblockPenalty()
 	var deblocks []bool
 	switch mode {
@@ -246,7 +224,7 @@ func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode De
 		// request is costed with the same accuracy penalty the planner
 		// would charge.
 		if !allowNoDeblock {
-			return videoSelection{}, fmt.Errorf("smol: reduced-fidelity decode is disabled (VideoDeblockPenalty < 0)")
+			return selection{}, fmt.Errorf("smol: reduced-fidelity decode is disabled (VideoDeblockPenalty < 0)")
 		}
 		deblocks = []bool{false}
 	default:
@@ -256,98 +234,60 @@ func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode De
 		}
 	}
 
-	type cand struct {
-		plan   costmodel.Plan
-		ent    *rtEntry
-		choice videoChoice
-	}
-	var cands []cand
+	var cands []candidate
 	for _, ent := range r.entries {
 		for si, info := range infos {
-			spec := preproc.ServeSpec(info.W, info.H, ent.InputRes, r.cfg.Mean, r.cfg.Std, nil)
-			pplan, err := preproc.Optimize(spec)
-			if err != nil {
-				return videoSelection{}, fmt.Errorf("smol: optimizing preproc for %s on stream %d: %w", ent.name, si, err)
-			}
 			for _, deblock := range deblocks {
-				acc := ent.Accuracy
+				p, err := r.videoPlan(ent, si, info, deblock, stride, seek)
+				if err != nil {
+					return selection{}, fmt.Errorf("smol: optimizing preproc for %s on stream %d: %w", ent.name, si, err)
+				}
 				if !deblock {
-					acc -= penalty
+					p.DNN.Accuracy -= penalty
 				}
 				// A rendition whose short edge undershoots the model's
 				// resize target upscales — information the DNN input wants
 				// is genuinely absent (the same legality rule the JPEG
 				// decode-scale search applies), so it carries an accuracy
 				// charge and only wins under relaxed floors.
-				if min(info.W, info.H) < spec.ResizeShort {
-					acc -= videoUndersizePenalty
+				if min(info.W, info.H) < p.PreprocSpec.ResizeShort {
+					p.DNN.Accuracy -= videoUndersizePenalty
 				}
-				cands = append(cands, cand{
-					plan: costmodel.Plan{
-						DNN: costmodel.DNNChoice{Name: ent.name, InputRes: ent.InputRes, Accuracy: acc},
-						Format: costmodel.Format{
-							Name:            fmt.Sprintf("svid#%d %dx%d", si, info.W, info.H),
-							Kind:            hw.FormatVideoH264,
-							W:               info.W,
-							H:               info.H,
-							NoDeblock:       !deblock,
-							GOP:             info.GOP,
-							FramesPerSample: stride,
-							GOPSeek:         seek,
-						},
-						Preproc: pplan, PreprocSpec: spec,
-					},
-					ent:    ent,
-					choice: videoChoice{stream: si, deblock: deblock},
-				})
+				cands = append(cands, candidate{ent: ent, choice: videoChoice{stream: si, deblock: deblock}, plan: p})
 			}
 		}
 	}
-	plans := make([]costmodel.Plan, len(cands))
-	for i, c := range cands {
-		plans[i] = c.plan
-	}
-	evals, err := costmodel.Evaluate(plans, env)
+	sel, err := r.pick(cands, r.planEnv(r.videoCalibrate()), qos)
 	if err != nil {
-		return videoSelection{}, err
+		return selection{}, fmt.Errorf("smol: no video plan satisfies QoS %+v: %w", qos, err)
 	}
-	best, err := costmodel.Select(evals, costmodel.Constraint{
-		MinAccuracy:  qos.MinAccuracy,
-		MaxLatencyUS: qos.MaxLatencyUS,
-	})
+	return sel, nil
+}
+
+// videoPlan is the cost-model plan for serving one stored stream with one
+// zoo entry: decode at the stream's geometry with or without deblocking,
+// framesPerSample decoded frames per classified one (capped at the GOP
+// prefix under seek), and the jointly optimized preprocessing chain.
+func (r *Runtime) videoPlan(ent *rtEntry, stream int, info vid.Info, deblock bool, framesPerSample int, seek bool) (costmodel.Plan, error) {
+	spec := preproc.ServeSpec(info.W, info.H, ent.InputRes, r.cfg.Mean, r.cfg.Std, nil)
+	pplan, err := preproc.Optimize(spec)
 	if err != nil {
-		return videoSelection{}, fmt.Errorf("smol: no video plan satisfies QoS %+v: %w", qos, err)
+		return costmodel.Plan{}, err
 	}
-	for _, c := range cands {
-		if c.plan.DNN.Name != best.Plan.DNN.Name ||
-			c.plan.Format.Name != best.Plan.Format.Name ||
-			c.plan.Format.NoDeblock != best.Plan.Format.NoDeblock {
-			continue
-		}
-		return videoSelection{
-			entry:  c.ent,
-			choice: c.choice,
-			plan: ServePlan{
-				Entry:     c.ent.name,
-				Variant:   c.ent.Variant,
-				InputRes:  c.ent.InputRes,
-				Precision: c.ent.PrecisionLabel(),
-				Kernel:    r.kernelFor(c.ent),
-				// The effective accuracy the QoS floor was checked
-				// against: the entry's measured accuracy minus any
-				// deblock-off / undersized-rendition fidelity penalties.
-				Accuracy:            c.plan.DNN.Accuracy,
-				InputFormat:         c.plan.Format.Name,
-				DecodeScale:         1,
-				Deblock:             c.choice.deblock,
-				Stream:              c.choice.stream,
-				Preproc:             c.plan.Preproc.Describe(),
-				PredictedThroughput: best.Throughput,
-				PredictedLatencyUS:  best.LatencyUS,
-			},
-		}, nil
-	}
-	return videoSelection{}, fmt.Errorf("smol: video planner lost track of its winner %s", best.Plan)
+	return costmodel.Plan{
+		DNN: costmodel.DNNChoice{Name: ent.name, InputRes: ent.InputRes, Accuracy: ent.Accuracy},
+		Format: costmodel.Format{
+			Name:            fmt.Sprintf("svid#%d %dx%d", stream, info.W, info.H),
+			Kind:            hw.FormatVideoH264,
+			W:               info.W,
+			H:               info.H,
+			NoDeblock:       !deblock,
+			GOP:             info.GOP,
+			FramesPerSample: framesPerSample,
+			GOPSeek:         seek,
+		},
+		Preproc: pplan, PreprocSpec: spec,
+	}, nil
 }
 
 // videoSource streams a video request into the engine: it owns the
