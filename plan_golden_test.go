@@ -3,6 +3,7 @@ package smol
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -234,5 +235,48 @@ func TestPlanGolden(t *testing.T) {
 	}
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("golden grid has %d lines, table has %d", len(gotLines), len(wantLines))
+	}
+}
+
+// TestPlannerProperties checks every class of the golden grid against the
+// planner's contract: the chosen plan meets the accuracy floor and the
+// latency cap it was asked for, raising the floor never raises the chosen
+// plan's predicted throughput (SELECT: its verification plan's), and a
+// floor above every zoo entry fails in every planner.
+func TestPlannerProperties(t *testing.T) {
+	z, _ := quantizedTinyZoo(t)
+	top := 0.0
+	for _, e := range z.Entries() {
+		top = math.Max(top, e.Accuracy)
+	}
+	for _, c := range planClasses(t) {
+		for _, lat := range planLatencyCaps {
+			prevTput, prevFailed := math.Inf(1), false
+			for _, floor := range planFloors {
+				q := QoS{MinAccuracy: floor, MaxLatencyUS: lat}
+				p, _, err := c.run(q)
+				if err != nil {
+					prevFailed = true
+					continue
+				}
+				if prevFailed {
+					t.Errorf("%s: QoS %+v is served but a lower floor failed", c.name, q)
+				}
+				if p.Accuracy < floor {
+					t.Errorf("%s: QoS %+v chose %s at accuracy %v", c.name, q, p.Entry, p.Accuracy)
+				}
+				if lat > 0 && p.PredictedLatencyUS > lat {
+					t.Errorf("%s: QoS %+v chose %s at predicted latency %vus", c.name, q, p.Entry, p.PredictedLatencyUS)
+				}
+				if p.PredictedThroughput > prevTput {
+					t.Errorf("%s: QoS %+v raised predicted throughput to %v from %v at a lower floor",
+						c.name, q, p.PredictedThroughput, prevTput)
+				}
+				prevTput = p.PredictedThroughput
+			}
+		}
+		if p, _, err := c.run(QoS{MinAccuracy: top + 0.01}); err == nil {
+			t.Errorf("%s: floor %v above every zoo entry served %s", c.name, top+0.01, p.Entry)
+		}
 	}
 }

@@ -35,6 +35,19 @@ type QoS struct {
 	MaxLatencyUS float64
 }
 
+// validate rejects a target no plan search can honour. A NaN field would
+// pass every floor comparison (serving the max-throughput plan) and, as a
+// memo key, never equal itself, so each such request would re-run the
+// whole search.
+func (q QoS) validate() error {
+	for _, v := range []float64{q.MinAccuracy, q.MaxLatencyUS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("smol: invalid QoS %+v: fields must be finite and non-negative", q)
+		}
+	}
+	return nil
+}
+
 // ServePlan is the planner's decision for one request: the zoo entry it
 // routed the request to, the joint decode/preprocessing plan for the
 // request's input class, and the calibrated cost-model predictions that
@@ -243,6 +256,9 @@ func (r *Runtime) servePlan(ent *rtEntry, choice videoChoice, ev costmodel.Evalu
 // preprocessing/inference optimization running live inside the serving
 // path.
 func (r *Runtime) planFor(inputs []MediaInput, qos QoS) (*rtEntry, ServePlan, error) {
+	if err := qos.validate(); err != nil {
+		return nil, ServePlan{}, err
+	}
 	if len(inputs) == 0 {
 		// An empty request has no input class to cost and no work to
 		// bound: route it by accuracy alone (no calibration, no plan
@@ -615,6 +631,9 @@ func (r *Runtime) planSelect(infos []vid.Info, qos QoS, stride int, mode Deblock
 	}
 	if qos == (QoS{}) {
 		qos = r.cfg.QoS
+	}
+	if err := qos.validate(); err != nil {
+		return selectSelection{}, err
 	}
 	sig := ""
 	for _, info := range infos {

@@ -205,6 +205,9 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	if zoo == nil || zoo.Len() == 0 {
 		return nil, fmt.Errorf("smol: empty zoo")
 	}
+	if err := cfg.QoS.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Std == ([3]float32{}) {
 		cfg.Std = [3]float32{1, 1, 1}
 	}

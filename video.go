@@ -195,6 +195,9 @@ func (r *Runtime) planVideoInfos(infos []vid.Info, qos QoS, stride int, mode Deb
 		// still-image Classify contract.
 		qos = r.cfg.QoS
 	}
+	if err := qos.validate(); err != nil {
+		return nil, videoChoice{}, ServePlan{}, err
+	}
 	sig := ""
 	for _, info := range infos {
 		sig += fmt.Sprintf("%dx%d/g%d;", info.W, info.H, info.GOP)
