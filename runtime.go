@@ -117,7 +117,6 @@ type Runtime struct {
 	// entries are the zoo's models lowered for execution, one engine shape
 	// class each. A single-model Runtime is a zoo of one.
 	entries []*rtEntry
-	byName  map[string]*rtEntry
 
 	// execSem bounds concurrent compiled forwards across all entries
 	// (configurable exec parallelism), letting multiple engine streams
@@ -218,10 +217,7 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	// Bit-identical tiers make the process-wide flip safe: in-flight GEMMs
 	// on other runtimes keep their results, only their speed tier moves.
 	tensor.SetF32SIMD(!cfg.DisableSIMD)
-	r := &Runtime{
-		cfg:    cfg,
-		byName: make(map[string]*rtEntry),
-	}
+	r := &Runtime{cfg: cfg}
 	r.ingest.init(maxPlans)
 	for _, e := range zoo.Entries() {
 		if e.Int8() && cfg.DisableInt8 {
@@ -251,7 +247,6 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 			ent.qplan = qp
 		}
 		r.entries = append(r.entries, ent)
-		r.byName[ent.name] = ent
 	}
 	if len(r.entries) == 0 {
 		return nil, fmt.Errorf("smol: zoo has no servable entries (all int8 with DisableInt8 set)")
