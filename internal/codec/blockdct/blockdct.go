@@ -78,22 +78,43 @@ func fdctShift(samples, out *Block, offset int32) {
 }
 
 // idctShift computes the inverse DCT, adds offset, and clamps to [lo, hi].
+//
+// Zero coefficients and all-zero columns are skipped. That is exact, not
+// an approximation: every sum starts at +0, and in round-to-nearest adding
+// a ±0 term never changes a sum, while the product order (alpha·c)·cos
+// and the summation order of the remaining terms are those of the dense
+// transform.
 func idctShift(coeffs, out *Block, offset, lo, hi int32) {
-	var tmp [Size][Size]float64
+	// cols[k][y] is the column pass of the k-th live (non-zero) column,
+	// whose index is live[k].
+	var cols [Size][Size]float64
+	var live [Size]int
+	n := 0
 	for u := 0; u < Size; u++ {
-		for y := 0; y < Size; y++ {
-			var s float64
-			for v := 0; v < Size; v++ {
-				s += alpha(v) * float64(coeffs[v*Size+u]) * cosTable[v][y]
+		col := &cols[n]
+		*col = [Size]float64{}
+		nonzero := false
+		for v := 0; v < Size; v++ {
+			c := coeffs[v*Size+u]
+			if c == 0 {
+				continue
 			}
-			tmp[y][u] = s
+			nonzero = true
+			a := alpha(v) * float64(c)
+			for y := 0; y < Size; y++ {
+				col[y] += a * cosTable[v][y]
+			}
+		}
+		if nonzero {
+			live[n] = u
+			n++
 		}
 	}
 	for y := 0; y < Size; y++ {
 		for x := 0; x < Size; x++ {
 			var s float64
-			for u := 0; u < Size; u++ {
-				s += alpha(u) * tmp[y][u] * cosTable[u][x]
+			for k, u := range live[:n] {
+				s += alpha(u) * cols[k][y] * cosTable[u][x]
 			}
 			v := int32(math.RoundToEven(0.25*s)) + offset
 			if v < lo {

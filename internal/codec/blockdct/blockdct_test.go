@@ -1,6 +1,7 @@
 package blockdct
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -208,5 +209,114 @@ func TestIDCTScaledFullSizePassthrough(t *testing.T) {
 	IDCTScaled(&coeffs, &b, Size)
 	if a != b {
 		t.Fatal("IDCTScaled(8) diverges from IDCT")
+	}
+}
+
+// idctShiftDense is the dense inverse transform idctShift skips zeros of:
+// every term of both passes, in the same product and summation order.
+func idctShiftDense(coeffs, out *Block, offset, lo, hi int32) {
+	var tmp [Size][Size]float64
+	for u := 0; u < Size; u++ {
+		for y := 0; y < Size; y++ {
+			var s float64
+			for v := 0; v < Size; v++ {
+				s += alpha(v) * float64(coeffs[v*Size+u]) * cosTable[v][y]
+			}
+			tmp[y][u] = s
+		}
+	}
+	for y := 0; y < Size; y++ {
+		for x := 0; x < Size; x++ {
+			var s float64
+			for u := 0; u < Size; u++ {
+				s += alpha(u) * tmp[y][u] * cosTable[u][x]
+			}
+			v := int32(math.RoundToEven(0.25*s)) + offset
+			if v < lo {
+				v = lo
+			} else if v > hi {
+				v = hi
+			}
+			out[y*Size+x] = v
+		}
+	}
+}
+
+// TestIDCTMatchesDenseOracle: the zero-skipping transform must equal the
+// dense one bit for bit on every sparsity pattern the codecs produce —
+// all-zero, DC-only, one column, one row, random sparsity and fully dense
+// blocks with magnitudes up to ±2^15 — under the level-shifted clamp, the
+// residual clamp and no clamp at all (so no difference hides behind a
+// saturated sample).
+func TestIDCTMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	coef := func() int32 {
+		// Mostly codec-sized values, sometimes the full ±2^15 range.
+		if rng.Intn(4) == 0 {
+			return int32(rng.Intn(1<<16+1) - 1<<15)
+		}
+		return int32(rng.Intn(257) - 128)
+	}
+	patterns := []struct {
+		name string
+		fill func(b *Block)
+	}{
+		{"zero", func(b *Block) {}},
+		{"dc", func(b *Block) { b[0] = coef() }},
+		{"column", func(b *Block) {
+			u := rng.Intn(Size)
+			for v := 0; v < Size; v++ {
+				if rng.Intn(2) == 0 {
+					b[v*Size+u] = coef()
+				}
+			}
+		}},
+		{"row", func(b *Block) {
+			v := rng.Intn(Size)
+			for u := 0; u < Size; u++ {
+				if rng.Intn(2) == 0 {
+					b[v*Size+u] = coef()
+				}
+			}
+		}},
+		{"sparse", func(b *Block) {
+			density := rng.Float64()
+			for i := range b {
+				if rng.Float64() < density {
+					b[i] = coef()
+				}
+			}
+		}},
+		{"dense", func(b *Block) {
+			for i := range b {
+				b[i] = coef()
+			}
+		}},
+	}
+	modes := []struct {
+		name           string
+		offset, lo, hi int32
+	}{
+		{"shift", 128, 0, 255},
+		{"raw", 0, -255, 255},
+		{"unclamped", 0, math.MinInt32, math.MaxInt32},
+	}
+	trials := 20000
+	if testing.Short() {
+		trials = 2000
+	}
+	for _, p := range patterns {
+		for trial := 0; trial < trials; trial++ {
+			var coeffs Block
+			p.fill(&coeffs)
+			for _, m := range modes {
+				var got, want Block
+				idctShift(&coeffs, &got, m.offset, m.lo, m.hi)
+				idctShiftDense(&coeffs, &want, m.offset, m.lo, m.hi)
+				if got != want {
+					t.Fatalf("%s block %v, %s: got %v, want %v", p.name, coeffs, m.name, got, want)
+				}
+			}
+		}
 	}
 }
