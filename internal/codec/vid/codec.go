@@ -135,23 +135,36 @@ func motionSearch(cur, ref *plane, cx, cy int) (mvx, mvy, sad int) {
 	return bestX, bestY, best
 }
 
-// predictMB builds the motion-compensated prediction of one macroblock into
-// pred (a scratch frame), reading from ref.
+// predictBlock copies the n x n block of p at (x0, y0) into dst (row-major,
+// stride n). Motion vectors come from the payload, so the displaced block
+// may lie partly or wholly outside the plane on either side; only then are
+// reads edge-clamped sample by sample.
+func predictBlock(p *plane, x0, y0, n int, dst []int32) {
+	if x0 >= 0 && y0 >= 0 && x0+n <= p.w && y0+n <= p.h {
+		for y := 0; y < n; y++ {
+			src := p.pix[(y0+y)*p.w+x0:][:n]
+			row := dst[y*n:][:n]
+			for x, v := range src {
+				row[x] = int32(v)
+			}
+		}
+		return
+	}
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			dst[y*n+x] = int32(p.at(x0+x, y0+y))
+		}
+	}
+}
+
+// predictMB builds the motion-compensated prediction of one macroblock,
+// reading from ref. Chroma uses the luma vector halved.
 func predictMB(ref *frame, mbx, mby, mvx, mvy int, predY *[mbSize * mbSize]int32, predCb, predCr *[(mbSize / 2) * (mbSize / 2)]int32) {
 	cx, cy := mbx*mbSize, mby*mbSize
-	for y := 0; y < mbSize; y++ {
-		for x := 0; x < mbSize; x++ {
-			predY[y*mbSize+x] = int32(ref.y.at(cx+x+mvx, cy+y+mvy))
-		}
-	}
-	ccx, ccy := cx/2, cy/2
-	cmvx, cmvy := mvx/2, mvy/2
-	for y := 0; y < mbSize/2; y++ {
-		for x := 0; x < mbSize/2; x++ {
-			predCb[y*(mbSize/2)+x] = int32(ref.cb.at(ccx+x+cmvx, ccy+y+cmvy))
-			predCr[y*(mbSize/2)+x] = int32(ref.cr.at(ccx+x+cmvx, ccy+y+cmvy))
-		}
-	}
+	predictBlock(ref.y, cx+mvx, cy+mvy, mbSize, predY[:])
+	ccx, ccy := cx/2+mvx/2, cy/2+mvy/2
+	predictBlock(ref.cb, ccx, ccy, mbSize/2, predCb[:])
+	predictBlock(ref.cr, ccx, ccy, mbSize/2, predCr[:])
 }
 
 // mb block layout: 4 luma 8x8 blocks then Cb 8x8 then Cr 8x8.

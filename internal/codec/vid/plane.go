@@ -103,15 +103,21 @@ func frameToRGBInto(f *frame, w, h int, dst *img.Image) *img.Image {
 	if m == nil || m.W != w || m.H != h {
 		m = img.New(w, h)
 	}
+	// Chroma planes are padW/2 x padH/2 with padW >= w and padH >= h, so
+	// column x/2 and row y/2 are always inside them.
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			yy := float64(f.y.pix[y*f.y.w+x])
-			cb := float64(f.cb.at(x/2, y/2)) - 128
-			cr := float64(f.cr.at(x/2, y/2)) - 128
-			i := (y*w + x) * 3
-			m.Pix[i] = img.ClampF(yy + 1.402*cr)
-			m.Pix[i+1] = img.ClampF(yy - 0.344136*cb - 0.714136*cr)
-			m.Pix[i+2] = img.ClampF(yy + 1.772*cb)
+		luma := f.y.pix[y*f.y.w:][:w]
+		cbRow := f.cb.pix[(y/2)*f.cb.w:][:f.cb.w]
+		crRow := f.cr.pix[(y/2)*f.cr.w:][:f.cr.w]
+		out := m.Pix[y*w*3:][:w*3]
+		for x, l := range luma {
+			yy := float64(l)
+			cb := float64(cbRow[x/2]) - 128
+			cr := float64(crRow[x/2]) - 128
+			px := out[x*3:][:3]
+			px[0] = img.ClampF(yy + 1.402*cr)
+			px[1] = img.ClampF(yy - 0.344136*cb - 0.714136*cr)
+			px[2] = img.ClampF(yy + 1.772*cb)
 		}
 	}
 	return m
