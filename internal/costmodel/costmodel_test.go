@@ -453,6 +453,27 @@ func TestSelectMaxLatency(t *testing.T) {
 	}
 }
 
+// TestSelectTieBreaksOnLatency: plans equal in throughput and accuracy —
+// a full-resolution and a low-resolution stream feeding the same DNN once
+// both are DNN-bound — must resolve to the lower predicted latency under
+// every constraint, whatever order they arrive in.
+func TestSelectTieBreaksOnLatency(t *testing.T) {
+	full := Evaluated{Plan: Plan{Format: Format{Name: "full"}}, Accuracy: 0.9, Throughput: 500, LatencyUS: 4000}
+	low := Evaluated{Plan: Plan{Format: Format{Name: "low"}}, Accuracy: 0.9, Throughput: 500, LatencyUS: 2500}
+	for _, c := range []Constraint{{}, {MinAccuracy: 0.8}, {MinThroughput: 100}} {
+		for _, evals := range [][]Evaluated{{full, low}, {low, full}} {
+			got, err := Select(evals, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Plan.Format.Name != "low" {
+				t.Fatalf("constraint %+v, order %s/%s: chose %s, want the lower-latency plan",
+					c, evals[0].Plan.Format.Name, evals[1].Plan.Format.Name, got.Plan.Format.Name)
+			}
+		}
+	}
+}
+
 // TestGenerateSelectsDecodeScale: with preprocessing optimization on, a
 // large JPEG format should come back with a sub-full decode scale chosen
 // jointly with the preproc chain, and its modeled decode cost must drop

@@ -134,6 +134,7 @@ type Constraint struct {
 // Select returns the best plan under the constraint: the highest-throughput
 // plan meeting MinAccuracy, or the highest-accuracy plan meeting
 // MinThroughput, or the highest-throughput plan overall when unconstrained.
+// Ties on throughput and accuracy go to the lower LatencyUS.
 func Select(evals []Evaluated, c Constraint) (Evaluated, error) {
 	feasible := make([]Evaluated, 0, len(evals))
 	for _, e := range evals {
@@ -149,18 +150,27 @@ func Select(evals []Evaluated, c Constraint) (Evaluated, error) {
 		return Evaluated{}, fmt.Errorf("costmodel: no plan satisfies constraint %+v", c)
 	}
 	// With an accuracy floor, maximize throughput; with only a throughput
-	// floor, maximize accuracy.
+	// floor, maximize accuracy. Plans equal on both prefer the lower
+	// latency, so an exact tie (two DNN-bound plans sharing a DNN) does
+	// not fall to input order.
 	sort.Slice(feasible, func(i, j int) bool {
+		a, b := feasible[i], feasible[j]
 		if c.MinThroughput > 0 && c.MinAccuracy == 0 {
-			if feasible[i].Accuracy != feasible[j].Accuracy {
-				return feasible[i].Accuracy > feasible[j].Accuracy
+			if a.Accuracy != b.Accuracy {
+				return a.Accuracy > b.Accuracy
 			}
-			return feasible[i].Throughput > feasible[j].Throughput
+			if a.Throughput != b.Throughput {
+				return a.Throughput > b.Throughput
+			}
+			return a.LatencyUS < b.LatencyUS
 		}
-		if feasible[i].Throughput != feasible[j].Throughput {
-			return feasible[i].Throughput > feasible[j].Throughput
+		if a.Throughput != b.Throughput {
+			return a.Throughput > b.Throughput
 		}
-		return feasible[i].Accuracy > feasible[j].Accuracy
+		if a.Accuracy != b.Accuracy {
+			return a.Accuracy > b.Accuracy
+		}
+		return a.LatencyUS < b.LatencyUS
 	})
 	return feasible[0], nil
 }

@@ -199,8 +199,9 @@ func (r *Runtime) planEnv(cal *hw.Calibration) costmodel.Env {
 }
 
 // pick costs every candidate under env and lowers the one costmodel.Select
-// chooses under qos. Exact throughput ties resolve by candidate order, so
-// callers enumerate candidates in a fixed order.
+// chooses under qos. Plans exactly tied on throughput, accuracy and
+// latency resolve by candidate order, so callers enumerate candidates in a
+// fixed order.
 func (r *Runtime) pick(cands []candidate, env costmodel.Env, qos QoS) (selection, error) {
 	plans := make([]costmodel.Plan, len(cands))
 	for i, c := range cands {
