@@ -86,13 +86,12 @@ func fdctShift(samples, out *Block, offset int32) {
 // transform.
 func idctShift(coeffs, out *Block, offset, lo, hi int32) {
 	// cols[k][y] is the column pass of the k-th live (non-zero) column,
-	// whose index is live[k].
+	// whose index is live[k]. cols[n] is still all +0 when column u starts.
 	var cols [Size][Size]float64
 	var live [Size]int
 	n := 0
 	for u := 0; u < Size; u++ {
 		col := &cols[n]
-		*col = [Size]float64{}
 		nonzero := false
 		for v := 0; v < Size; v++ {
 			c := coeffs[v*Size+u]
