@@ -324,19 +324,24 @@ func BenchmarkEnginePipeline(b *testing.B) {
 		}
 		return nil
 	}
-	exec := func(batch *tensor.Tensor, indices []int) error { return nil }
-	e, err := engine.New(engine.Config{Workers: 2, Streams: 2, BatchSize: 32,
-		SampleShape: [3]int{3, 32, 32}}, prep, exec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	exec := func(batch *tensor.Tensor, refs []engine.Ref) error { return nil }
+	cfg := engine.Config{Workers: 2, Streams: 2, BatchSize: 32, Shapes: [][3]int{{3, 32, 32}}}
 	jobs := make([]engine.Job, 512)
 	for i := range jobs {
 		jobs[i] = engine.Job{Index: i}
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(jobs); err != nil {
+		// Cold on purpose: every iteration pays pipeline setup and
+		// teardown, the one-shot cost BenchmarkEngineStreamingWarm avoids.
+		p, err := engine.NewPipeline(cfg, prep, exec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = p.Process(ctx, engine.SliceSource(jobs))
+		p.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,7 +360,7 @@ func BenchmarkEngineStreamingWarm(b *testing.B) {
 	}
 	exec := func(batch *tensor.Tensor, refs []engine.Ref) error { return nil }
 	p, err := engine.NewPipeline(engine.Config{Workers: 2, Streams: 2, BatchSize: 32,
-		SampleShape: [3]int{3, 32, 32}}, prep, exec)
+		Shapes: [][3]int{{3, 32, 32}}}, prep, exec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,7 +390,7 @@ func BenchmarkEngineStreamingConcurrent(b *testing.B) {
 	}
 	exec := func(batch *tensor.Tensor, refs []engine.Ref) error { return nil }
 	p, err := engine.NewPipeline(engine.Config{Workers: 4, Streams: 2, BatchSize: 32,
-		SampleShape: [3]int{3, 32, 32}}, prep, exec)
+		Shapes: [][3]int{{3, 32, 32}}}, prep, exec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -70,6 +70,7 @@ import (
 	"smol"
 	"smol/internal/blazeit"
 	"smol/internal/data"
+	"smol/internal/tensor"
 )
 
 func main() {
@@ -100,6 +101,11 @@ func main() {
 	selLimit := flag.Int("limit", 10, "max frames the -select query returns (0 = all matches)")
 	noCascade := flag.Bool("nocascade", false, "disable the proxy cascade: -select verifies every sampled frame (the A/B baseline)")
 	flag.Parse()
+	if *noSIMD {
+		// The f32 kernel tier is process-wide and bit-identical either
+		// way, so one switch before any runtime exists covers every mode.
+		tensor.SetF32SIMD(false)
+	}
 
 	// The video, serving, and selection modes partition the flag surface;
 	// reject contradictory combinations up front with a usage error instead
@@ -122,15 +128,15 @@ func main() {
 	case "classify":
 		if *selectQ {
 			videoSelect(*video, *storeDir, *dataset, *selClass, *selLimit, *stride, *execPar,
-				*compiled, *zoo, useInt8, *noSIMD, *noSeek, *noCascade, *selMinConf, *minAcc, *explain)
+				*compiled, *zoo, useInt8, *noSeek, *noCascade, *selMinConf, *minAcc, *explain)
 		} else if *video != "" {
 			videoClassify(*video, *lowres, *storeDir, *dataset, *stride, *execPar, *compiled, *roiDecode, *scaleDecode,
-				*zoo, useInt8, *noSIMD, *noSeek, *minAcc, *explain)
+				*zoo, useInt8, *noSeek, *minAcc, *explain)
 		} else if *serve {
 			serveClassify(*dataset, *requests, *execPar, *compiled, *roiDecode, *scaleDecode,
-				*zoo, useInt8, *noSIMD, *minAcc, *explain)
+				*zoo, useInt8, *minAcc, *explain)
 		} else {
-			classify(*dataset, *roiDecode, *scaleDecode, *noSIMD)
+			classify(*dataset, *roiDecode, *scaleDecode)
 		}
 	case "aggregate":
 		aggregate(*dataset, *errTarget)
@@ -139,7 +145,7 @@ func main() {
 	}
 }
 
-func classify(name string, roiDecode, scaleDecode, noSIMD bool) {
+func classify(name string, roiDecode, scaleDecode bool) {
 	spec, err := data.ImageDataset(name)
 	if err != nil {
 		log.Fatal(err)
@@ -167,7 +173,6 @@ func classify(name string, roiDecode, scaleDecode, noSIMD bool) {
 	rt, err := smol.NewRuntime(clf.Model, smol.RuntimeConfig{
 		InputRes: spec.FullRes, BatchSize: 32,
 		ROIDecode: roiDecode, DisableScaledDecode: !scaleDecode,
-		DisableSIMD: noSIMD,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -248,7 +253,7 @@ func trainServingRuntime(dataset string, useZoo, useInt8 bool, cfg smol.RuntimeC
 // useZoo a multi-entry model zoo is trained instead and each request is
 // routed by the serving planner from the minAcc accuracy floor.
 func serveClassify(name string, requests, execPar int, compiled, roiDecode, scaleDecode,
-	useZoo, useInt8, noSIMD bool, minAcc float64, explain bool) {
+	useZoo, useInt8 bool, minAcc float64, explain bool) {
 	if requests < 1 {
 		requests = 1
 	}
@@ -257,7 +262,6 @@ func serveClassify(name string, requests, execPar int, compiled, roiDecode, scal
 		QoS:          smol.QoS{MinAccuracy: minAcc},
 		ExecParallel: execPar, DisableCompiled: !compiled,
 		ROIDecode: roiDecode, DisableScaledDecode: !scaleDecode,
-		DisableSIMD: noSIMD,
 	})
 
 	inputs := make([]smol.EncodedImage, len(ds.Test))
@@ -334,7 +338,7 @@ func serveClassify(name string, requests, execPar int, compiled, roiDecode, scal
 // sampling seek straight to the sampled GOPs and fan them across a decoder
 // pool (noSeek forces the sequential baseline for comparison).
 func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int, compiled, roiDecode, scaleDecode,
-	useZoo, useInt8, noSIMD, noSeek bool, minAcc float64, explain bool) {
+	useZoo, useInt8, noSeek bool, minAcc float64, explain bool) {
 	streamData, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -360,7 +364,7 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 		QoS:          smol.QoS{MinAccuracy: minAcc},
 		ExecParallel: execPar, DisableCompiled: !compiled,
 		ROIDecode: roiDecode, DisableScaledDecode: !scaleDecode,
-		DisableGOPSeek: noSeek, DisableSIMD: noSIMD,
+		DisableGOPSeek: noSeek,
 	})
 
 	srv, err := rt.Serve()
@@ -438,7 +442,7 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 // limit confirmations. noCascade verifies every sampled frame instead, the
 // equivalence baseline.
 func videoSelect(path, storeDir, dataset string, class, limit, stride, execPar int,
-	compiled, useZoo, useInt8, noSIMD, noSeek, noCascade bool, minConf, minAcc float64, explain bool) {
+	compiled, useZoo, useInt8, noSeek, noCascade bool, minConf, minAcc float64, explain bool) {
 	streamData, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -454,7 +458,6 @@ func videoSelect(path, storeDir, dataset string, class, limit, stride, execPar i
 		ExecParallel: execPar, DisableCompiled: !compiled,
 		DisableGOPSeek:      noSeek,
 		DisableProxyCascade: noCascade,
-		DisableSIMD:         noSIMD,
 	})
 	srv, err := rt.Serve()
 	if err != nil {

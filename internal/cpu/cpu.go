@@ -8,8 +8,9 @@
 // One override knob: setting the SMOL_NOSIMD environment variable (to any
 // non-empty value) disables every vector kernel at process start, turning
 // the whole binary into its own portable-equivalence oracle without a
-// rebuild. Finer-grained toggles (per-tier, per-runtime) live with their
-// kernels — see tensor.SetF32SIMD and RuntimeConfig.DisableSIMD.
+// rebuild. The one finer-grained toggle lives with its kernel tier: see
+// tensor.SetF32SIMD (what smol-query -nosimd and the equivalence tests
+// flip).
 package cpu
 
 import "os"

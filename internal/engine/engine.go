@@ -1,68 +1,41 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"runtime"
 	"time"
 
 	"smol/internal/tensor"
 )
 
-// Options toggles the engine's systems optimizations individually, for the
-// lesion and factor analyses of Figures 7 and 8.
-type Options struct {
-	// DisableThreading runs a single preprocessing worker.
-	DisableThreading bool
-	// DisableMemReuse allocates a fresh tensor per image instead of pooling.
-	DisableMemReuse bool
-	// DisablePinned allocates a fresh staging buffer per batch and performs
-	// the extra copy a non-pinned transfer path implies.
-	DisablePinned bool
-}
-
 // Config describes the pipeline topology.
 type Config struct {
 	// Workers is the number of preprocessing goroutines; zero means
 	// GOMAXPROCS (the paper's producers == vCPUs heuristic).
 	Workers int
-	// Streams is the number of batch-assembly consumers (CUDA streams).
+	// Streams is the number of batch-assembly consumers (CUDA streams) per
+	// shape class; zero means 2.
 	Streams int
-	// QueueCap is the bounded queue capacity; zero means 4x batch size.
-	QueueCap int
-	// BatchSize is the execution batch size; zero means 32.
+	// BatchSize is the execution batch size of every shape class; zero
+	// means 32. Each class's bounded queue holds 4x this many samples.
 	BatchSize int
-	// SampleShape is the (C, H, W) shape every preprocessed sample has.
-	// It describes the single shape class 0 when Shapes is empty.
-	SampleShape [3]int
-	// Shapes, when non-empty, declares the pipeline's shape classes: every
-	// job names one via Job.Class, and the pipeline keeps a tensor pool,
-	// staging arena, bounded queue, and batch-assembly streams per class.
-	// Batches never mix classes, so a multi-variant model zoo can share one
-	// warm pipeline while each variant keeps its own input geometry.
+	// Shapes declares the pipeline's shape classes, each a (C, H, W)
+	// sample shape: every job names one via Job.Class, and the pipeline
+	// keeps a tensor pool, staging arena, bounded queue, and batch-assembly
+	// streams per class. Batches never mix classes, so a multi-variant
+	// model zoo can share one warm pipeline while each variant keeps its
+	// own input geometry.
 	Shapes [][3]int
-	// BatchSizes optionally overrides BatchSize per shape class (parallel to
-	// Shapes; zero entries fall back to BatchSize), letting large-input
-	// classes run smaller batches than cheap ones.
-	BatchSizes []int
-	Opts       Options
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Opts.DisableThreading {
-		c.Workers = 1
-	}
 	if c.Streams <= 0 {
 		c.Streams = 2
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.QueueCap < c.BatchSize {
-		c.QueueCap = 4 * c.BatchSize
 	}
 	return c
 }
@@ -80,28 +53,23 @@ type Job struct {
 	Class int
 }
 
-// PrepFunc decodes and preprocesses one job into out, which has
-// SampleShape. It runs concurrently on many workers; implementations must
-// confine mutable state to the worker (the engine passes a distinct
-// workerState to each).
+// PrepFunc decodes and preprocesses one job into out, which has the shape
+// of the job's class. It runs concurrently on many workers;
+// implementations must confine mutable state to the worker (the engine
+// passes a distinct WorkerState to each).
 type PrepFunc func(ws *WorkerState, job Job, out *tensor.Tensor) error
-
-// ExecFunc consumes an assembled batch: batch is (n, C, H, W) and indices
-// lists the job indices in batch order. It is called from multiple stream
-// goroutines.
-type ExecFunc func(batch *tensor.Tensor, indices []int) error
 
 // WorkerState carries per-worker scratch so PrepFuncs can reuse memory
 // without synchronization.
 type WorkerState struct {
 	// ID is the worker index.
 	ID int
-	// Scratch is an arbitrary per-worker value, set up by the caller via
-	// Engine.InitWorker.
+	// Scratch is an arbitrary per-worker value. It starts nil; a PrepFunc
+	// sets it up lazily on the worker's first job and reuses it after.
 	Scratch any
 }
 
-// Stats summarizes one engine run (one Run call or one streamed request).
+// Stats summarizes one request streamed through a Pipeline by Process.
 type Stats struct {
 	Images          int
 	Elapsed         time.Duration
@@ -122,27 +90,6 @@ type Stats struct {
 	MaxLatency  time.Duration
 }
 
-// Engine executes jobs through the preprocessing/execution pipeline.
-type Engine struct {
-	cfg  Config
-	prep PrepFunc
-	exec ExecFunc
-	// InitWorker, when non-nil, initializes each worker's scratch state.
-	InitWorker func(ws *WorkerState)
-}
-
-// New constructs an engine.
-func New(cfg Config, prep PrepFunc, exec ExecFunc) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if prep == nil || exec == nil {
-		return nil, fmt.Errorf("engine: prep and exec functions are required")
-	}
-	if _, err := classGeoms(cfg); err != nil {
-		return nil, err
-	}
-	return &Engine{cfg: cfg, prep: prep, exec: exec}, nil
-}
-
 // item is a preprocessed sample flowing through the queue. Only the pointer
 // crosses goroutines, avoiding copies (§6.1: "Smol only passes pointers
 // between workers"). req binds the sample to the request that submitted it
@@ -154,43 +101,4 @@ type item struct {
 	// start is when the item's preprocessing began, for latency tracking.
 	start time.Time
 	req   *request
-}
-
-// adaptExec lifts an index-based ExecFunc to the streaming BatchFunc.
-func adaptExec(exec ExecFunc) BatchFunc {
-	return func(batch *tensor.Tensor, refs []Ref) error {
-		indices := make([]int, len(refs))
-		for i, r := range refs {
-			indices[i] = r.Index
-		}
-		return exec(batch, indices)
-	}
-}
-
-// Start brings up a long-lived streaming Pipeline with this engine's
-// configuration and callbacks. The pipeline's workers, tensor pool, and
-// pinned arena stay resident across requests until Close; concurrent
-// Process calls share them.
-func (e *Engine) Start() (*Pipeline, error) {
-	p, err := NewPipeline(e.cfg, e.prep, adaptExec(e.exec))
-	if err != nil {
-		return nil, err
-	}
-	p.InitWorker = e.InitWorker
-	return p, nil
-}
-
-// Run pushes all jobs through the pipeline and blocks until every batch has
-// been executed. The first error from any stage aborts the run. It is a
-// thin one-shot wrapper over the streaming core: a private Pipeline is
-// started, the jobs are streamed through it, and it is torn down again.
-// Callers that issue many requests should hold a Pipeline (via Start) and
-// call Process instead, keeping the pool and arena warm.
-func (e *Engine) Run(jobs []Job) (Stats, error) {
-	p, err := e.Start()
-	if err != nil {
-		return Stats{}, err
-	}
-	defer p.Close()
-	return p.Process(context.Background(), SliceSource(jobs))
 }

@@ -116,10 +116,7 @@ func TestQuickEngineProcessesEveryJob(t *testing.T) {
 		workers := 1 + rng.Intn(4)
 		streams := 1 + rng.Intn(3)
 		batch := 1 + rng.Intn(16)
-		jobs := make([]Job, 1+rng.Intn(150))
-		for i := range jobs {
-			jobs[i] = Job{Index: i}
-		}
+		jobs := indexJobs(1 + rng.Intn(150))
 
 		var mu sync.Mutex
 		counts := make([]int, len(jobs))
@@ -129,21 +126,16 @@ func TestQuickEngineProcessesEveryJob(t *testing.T) {
 			}
 			return nil
 		}
-		exec := func(b *tensor.Tensor, indices []int) error {
+		exec := func(b *tensor.Tensor, refs []Ref) error {
 			mu.Lock()
 			defer mu.Unlock()
-			for _, ix := range indices {
-				counts[ix]++
+			for _, r := range refs {
+				counts[r.Index]++
 			}
 			return nil
 		}
-		e, err := New(Config{Workers: workers, Streams: streams, BatchSize: batch,
-			SampleShape: [3]int{3, 8, 8}}, prep, exec)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		if _, err := e.Run(jobs); err != nil {
+		if _, err := runOnce(Config{Workers: workers, Streams: streams, BatchSize: batch,
+			Shapes: [][3]int{{3, 8, 8}}}, prep, exec, jobs); err != nil {
 			t.Logf("seed %d: run: %v", seed, err)
 			return false
 		}

@@ -184,26 +184,21 @@ func (r *request) maybeCloseLocked() {
 // requests; per-request results are routed through each job's Ref.
 //
 // A Pipeline starts its goroutines lazily on the first Process call and
-// runs until Close. Set InitWorker (if needed) before the first Process.
+// runs until Close.
 type Pipeline struct {
 	cfg  Config
 	prep PrepFunc
 	exec BatchFunc
 
-	// InitWorker, when non-nil, initializes each worker's scratch state.
-	// It must be set before the first Process call.
-	InitWorker func(ws *WorkerState)
-
-	// classes is the resolved per-shape-class geometry; pools, arenas and
-	// queues are parallel to it. Jobs name their class via Job.Class, and
-	// each class gets its own batch-assembly streams, so batches never mix
-	// sample shapes and every class keeps an allocation-free warm path.
-	classes []classGeom
-	pools   []*TensorPool
-	arenas  []*PinnedArena
-	queues  []*MPMCQueue[item]
-	subs    chan task
-	stop    chan struct{}
+	// pools, arenas and queues are parallel to cfg.Shapes. Jobs name their
+	// class via Job.Class, and each class gets its own batch-assembly
+	// streams, so batches never mix sample shapes and every class keeps an
+	// allocation-free warm path.
+	pools  []*TensorPool
+	arenas []*PinnedArena
+	queues []*MPMCQueue[item]
+	subs   chan task
+	stop   chan struct{}
 
 	startOnce sync.Once
 	started   atomic.Bool
@@ -222,44 +217,6 @@ type Pipeline struct {
 	batches atomic.Int64 // lifetime batches dispatched
 }
 
-// classGeom is the resolved geometry of one shape class: its sample shape,
-// batch size, and queue capacity.
-type classGeom struct {
-	shape     [3]int
-	sampleLen int
-	batch     int
-	queueCap  int
-}
-
-// classGeoms resolves Config.Shapes/BatchSizes (falling back to the
-// single-shape SampleShape/BatchSize) into per-class geometry.
-func classGeoms(cfg Config) ([]classGeom, error) {
-	shapes := cfg.Shapes
-	if len(shapes) == 0 {
-		shapes = [][3]int{cfg.SampleShape}
-	}
-	if len(cfg.BatchSizes) > len(shapes) {
-		return nil, fmt.Errorf("engine: %d batch sizes for %d shape classes",
-			len(cfg.BatchSizes), len(shapes))
-	}
-	out := make([]classGeom, len(shapes))
-	for i, s := range shapes {
-		if s[0] <= 0 || s[1] <= 0 || s[2] <= 0 {
-			return nil, fmt.Errorf("engine: invalid sample shape %v (class %d)", s, i)
-		}
-		batch := cfg.BatchSize
-		if i < len(cfg.BatchSizes) && cfg.BatchSizes[i] > 0 {
-			batch = cfg.BatchSizes[i]
-		}
-		qc := cfg.QueueCap
-		if qc < batch {
-			qc = 4 * batch
-		}
-		out[i] = classGeom{shape: s, sampleLen: s[0] * s[1] * s[2], batch: batch, queueCap: qc}
-	}
-	return out, nil
-}
-
 // NewPipeline constructs a streaming pipeline. prep runs on the resident
 // worker goroutines; exec consumes assembled batches and routes per-sample
 // results via refs.
@@ -268,23 +225,27 @@ func NewPipeline(cfg Config, prep PrepFunc, exec BatchFunc) (*Pipeline, error) {
 	if prep == nil || exec == nil {
 		return nil, fmt.Errorf("engine: prep and exec functions are required")
 	}
-	classes, err := classGeoms(cfg)
-	if err != nil {
-		return nil, err
+	if len(cfg.Shapes) == 0 {
+		return nil, fmt.Errorf("engine: no shape classes declared")
 	}
+	// Own the shape list so a caller reusing its slice cannot reshape a
+	// running pipeline.
+	cfg.Shapes = append([][3]int(nil), cfg.Shapes...)
+	queueCap := 4 * cfg.BatchSize
 	p := &Pipeline{
-		cfg:     cfg,
-		prep:    prep,
-		exec:    exec,
-		classes: classes,
-		subs:    make(chan task, classes[0].queueCap),
-		stop:    make(chan struct{}),
+		cfg:  cfg,
+		prep: prep,
+		exec: exec,
+		subs: make(chan task, queueCap),
+		stop: make(chan struct{}),
 	}
-	for _, g := range classes {
-		shape := []int{g.shape[0], g.shape[1], g.shape[2]}
-		p.pools = append(p.pools, NewTensorPool(shape, g.queueCap+cfg.Workers+cfg.Streams*g.batch))
-		p.arenas = append(p.arenas, NewPinnedArena(cfg.Streams+1, g.batch*g.sampleLen))
-		p.queues = append(p.queues, NewMPMCQueue[item](g.queueCap))
+	for i, s := range cfg.Shapes {
+		if s[0] <= 0 || s[1] <= 0 || s[2] <= 0 {
+			return nil, fmt.Errorf("engine: invalid sample shape %v (class %d)", s, i)
+		}
+		p.pools = append(p.pools, NewTensorPool(s[:], queueCap+cfg.Workers+cfg.Streams*cfg.BatchSize))
+		p.arenas = append(p.arenas, NewPinnedArena(cfg.Streams+1, cfg.BatchSize*s[0]*s[1]*s[2]))
+		p.queues = append(p.queues, NewMPMCQueue[item](queueCap))
 	}
 	return p, nil
 }
@@ -297,7 +258,7 @@ func (p *Pipeline) start() {
 			p.wgWorkers.Add(1)
 			go p.runWorker(w)
 		}
-		for c := range p.classes {
+		for c := range p.cfg.Shapes {
 			for s := 0; s < p.cfg.Streams; s++ {
 				p.wgStreams.Add(1)
 				go p.runStream(c)
@@ -351,28 +312,20 @@ func (p *Pipeline) Close() {
 	})
 }
 
-// newBuf fetches a sample buffer of one shape class, honouring the
-// memory-reuse toggle. The caller owns the buffer and must hand it back
-// through recycle on every path.
+// newBuf fetches a sample buffer from one shape class's pool. The caller
+// owns the buffer and must hand it back through recycle on every path.
 //
 //smol:owns
 //smol:acquire tensorbuf
 func (p *Pipeline) newBuf(class int) *tensor.Tensor {
-	if p.cfg.Opts.DisableMemReuse {
-		s := p.classes[class].shape
-		return tensor.New(s[0], s[1], s[2])
-	}
 	return p.pools[class].Get()
 }
 
-// recycle returns a sample buffer to its class pool (no-op when reuse is
-// off).
+// recycle returns a sample buffer to its class pool.
 //
 //smol:release tensorbuf
 func (p *Pipeline) recycle(class int, buf *tensor.Tensor) {
-	if !p.cfg.Opts.DisableMemReuse {
-		p.pools[class].Put(buf)
-	}
+	p.pools[class].Put(buf)
 }
 
 // poolStats sums allocation/reuse counters across the class pools.
@@ -397,9 +350,6 @@ func (p *Pipeline) queueStalls() int {
 func (p *Pipeline) runWorker(id int) {
 	defer p.wgWorkers.Done()
 	ws := &WorkerState{ID: id}
-	if p.InitWorker != nil {
-		p.InitWorker(ws)
-	}
 	for {
 		select {
 		case <-p.stop:
@@ -444,16 +394,15 @@ func (p *Pipeline) prepOne(ws *WorkerState, t task) {
 // streams mean a batch only ever carries samples of its class's geometry.
 func (p *Pipeline) runStream(class int) {
 	defer p.wgStreams.Done()
-	cfg := p.cfg
-	g := p.classes[class]
-	shape := g.shape
-	sampleLen := g.sampleLen
+	batchSize := p.cfg.BatchSize
+	shape := p.cfg.Shapes[class]
+	sampleLen := shape[0] * shape[1] * shape[2]
 	queue := p.queues[class]
 	arena := p.arenas[class]
-	items := make([]item, g.batch)
-	refs := make([]Ref, g.batch)
+	items := make([]item, batchSize)
+	refs := make([]Ref, batchSize)
 	for {
-		n := queue.TakeUpTo(items, g.batch)
+		n := queue.TakeUpTo(items, batchSize)
 		if n == 0 {
 			return // closed and drained
 		}
@@ -473,22 +422,11 @@ func (p *Pipeline) runStream(class int) {
 		if m == 0 {
 			continue
 		}
-		// Stage the batch. The pinned path reuses arena buffers; the
-		// unpinned path pays a fresh allocation plus an extra copy, as
-		// DALI-to-TensorRT style integrations require.
-		var staging []float32
-		if cfg.Opts.DisablePinned {
-			staging = make([]float32, g.batch*sampleLen)
-			tmp := make([]float32, m*sampleLen)
-			for i := 0; i < m; i++ {
-				copy(tmp[i*sampleLen:], items[i].buf.Data)
-			}
-			copy(staging, tmp)
-		} else {
-			staging = arena.Acquire()
-			for i := 0; i < m; i++ {
-				copy(staging[i*sampleLen:], items[i].buf.Data)
-			}
+		// Stage the batch in a reused arena buffer: one copy per sample,
+		// no allocation.
+		staging := arena.Acquire()
+		for i := 0; i < m; i++ {
+			copy(staging[i*sampleLen:], items[i].buf.Data)
 		}
 		for i := 0; i < m; i++ {
 			refs[i] = Ref{Index: items[i].index, Tag: items[i].tag}
@@ -497,9 +435,7 @@ func (p *Pipeline) runStream(class int) {
 		}
 		batch := tensor.FromData(staging[:m*sampleLen], m, shape[0], shape[1], shape[2])
 		err := p.exec(batch, refs[:m])
-		if !cfg.Opts.DisablePinned {
-			arena.Release(staging)
-		}
+		arena.Release(staging)
 		p.batches.Add(1)
 		done := time.Now()
 		if err != nil {
@@ -563,9 +499,9 @@ feed:
 		if !ok {
 			break
 		}
-		if job.Class < 0 || job.Class >= len(p.classes) {
+		if job.Class < 0 || job.Class >= len(p.cfg.Shapes) {
 			req.fail(fmt.Errorf("engine: job %d: shape class %d out of range [0,%d)",
-				job.Index, job.Class, len(p.classes)))
+				job.Index, job.Class, len(p.cfg.Shapes)))
 			break
 		}
 		req.add()

@@ -14,7 +14,7 @@ import (
 
 // streamCfg is a small topology used across the streaming tests.
 func streamCfg() Config {
-	return Config{Workers: 4, Streams: 2, BatchSize: 8, SampleShape: [3]int{3, 4, 4}}
+	return Config{Workers: 4, Streams: 2, BatchSize: 8, Shapes: [][3]int{{3, 4, 4}}}
 }
 
 // tagPrep writes the job index into the buffer so exec can check routing.
@@ -330,42 +330,6 @@ func TestPipelineProcessAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestRunIsStreamingWrapper: the legacy one-shot API must behave exactly as
-// before on top of the streaming core, including pooled-buffer hygiene on
-// the error path (verified indirectly via engine_test.go's abort tests).
-func TestRunIsStreamingWrapper(t *testing.T) {
-	var seen sync.Map
-	prep := tagPrep
-	exec := func(batch *tensor.Tensor, indices []int) error {
-		for _, idx := range indices {
-			if _, dup := seen.LoadOrStore(idx, true); dup {
-				return fmt.Errorf("index %d executed twice", idx)
-			}
-		}
-		return nil
-	}
-	e, err := New(streamCfg(), prep, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := make([]Job, 100)
-	for i := range jobs {
-		jobs[i] = Job{Index: i}
-	}
-	st, err := e.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Images != 100 || st.Throughput <= 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	count := 0
-	seen.Range(func(k, v any) bool { count++; return true })
-	if count != 100 {
-		t.Fatalf("executed %d of 100", count)
-	}
-}
-
 // TestMPMCCloseUnblocksConcurrentPuts: many producers blocked on a full
 // queue must all fail out with ErrClosed when the queue closes — the
 // shutdown path the streaming pipeline leans on.
@@ -402,17 +366,15 @@ func TestMPMCCloseUnblocksConcurrentPuts(t *testing.T) {
 }
 
 // TestPipelineMultiShapeClasses: a pipeline declaring several shape classes
-// must route every job to a batch of its own class's geometry (and batch
-// size), never mixing shapes, while concurrent requests of different
-// classes share the warm workers.
+// must route every job to a batch of its own class's geometry, never mixing
+// shapes, while concurrent requests of different classes share the warm
+// workers.
 func TestPipelineMultiShapeClasses(t *testing.T) {
 	cfg := Config{
 		Workers: 4, Streams: 2, BatchSize: 8,
-		Shapes:     [][3]int{{3, 4, 4}, {3, 6, 6}, {1, 2, 2}},
-		BatchSizes: []int{0, 4, 0}, // class 1 runs smaller batches
+		Shapes: [][3]int{{3, 4, 4}, {3, 6, 6}, {1, 2, 2}},
 	}
 	sampleLens := []int{3 * 4 * 4, 3 * 6 * 6, 1 * 2 * 2}
-	maxBatch := []int{8, 4, 8}
 	exec := func(batch *tensor.Tensor, refs []Ref) error {
 		n := batch.Shape[0]
 		sampleLen := batch.Len() / n
@@ -425,8 +387,8 @@ func TestPipelineMultiShapeClasses(t *testing.T) {
 		if class < 0 {
 			return fmt.Errorf("batch with unknown sample length %d", sampleLen)
 		}
-		if n > maxBatch[class] {
-			return fmt.Errorf("class %d batch of %d exceeds its batch size %d", class, n, maxBatch[class])
+		if n > cfg.BatchSize {
+			return fmt.Errorf("class %d batch of %d exceeds the batch size %d", class, n, cfg.BatchSize)
 		}
 		for i, r := range refs {
 			res := r.Tag.(*results)

@@ -14,8 +14,11 @@ func init() {
 	register("figure10", Figure10EngineComparison)
 }
 
-// sysOpts mirrors the engine's toggles for the simulator: each disabled
-// optimization maps onto a calibrated cost penalty.
+// sysOpts selects the optimizations of the Figure 7/8 lesion and factor
+// analyses. They are simulator cost inputs, not mirrors of engine options
+// (the real engine always pools buffers, stages through its pinned arena
+// and runs Config.Workers producers): each disabled optimization maps onto
+// a calibrated cost penalty or, for threading, a single producer.
 type sysOpts struct {
 	Threading bool // multiple preprocessing workers
 	MemReuse  bool // pooled buffers (off: per-image allocation overhead)

@@ -26,10 +26,11 @@ const (
 	KernelPortable = "portable"
 )
 
-// gemmF32Asm gates dispatch to the AVX2 f32 microkernel. Atomic because
-// runtimes may flip it (RuntimeConfig.DisableSIMD) while other goroutines
-// are inside a GEMM; the kernels are bit-identical, so a mid-flight flip
-// is harmless — each GEMM call reads the flag once.
+// gemmF32Asm gates dispatch to the AVX2 f32 microkernel. It starts at
+// cpu.AVX2() and only SetF32SIMD moves it (smol-query -nosimd, oracle
+// tests). Atomic because a flip may land while other goroutines are inside
+// a GEMM; the kernels are bit-identical, so a mid-flight flip is harmless —
+// each GEMM call reads the flag once.
 var gemmF32Asm atomic.Bool
 
 // SetF32SIMD enables or disables the AVX2 f32 GEMM tier process-wide and

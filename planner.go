@@ -371,9 +371,6 @@ func (r *Runtime) workerCount() int {
 	if r.cfg.Workers > 0 {
 		return r.cfg.Workers
 	}
-	if r.cfg.Opts.DisableThreading {
-		return 1
-	}
 	return runtime.GOMAXPROCS(0)
 }
 

@@ -59,12 +59,6 @@ type RuntimeConfig struct {
 	// planner only ever routes to full-precision plans (A/B comparison and
 	// strict bit-reproducibility deployments).
 	DisableInt8 bool
-	// DisableSIMD routes f32 GEMMs to the portable scalar kernel instead
-	// of the AVX2 microkernel. The two are bit-identical, so this is purely
-	// an oracle/debug knob (equivalence checks, profiling the scalar tier)
-	// — results never change, only throughput. The kernel toggle is
-	// process-wide: the last-constructed runtime's setting wins.
-	DisableSIMD bool
 	// DisableGOPSeek forces sequential full-stream decode for video
 	// sampling: every frame up to the last sample is decoded (skipped
 	// frames still pay motion compensation), as if no GOP index existed.
@@ -78,11 +72,6 @@ type RuntimeConfig struct {
 	// the cascade must return the same frame set at a fraction of the
 	// decode and inference work.
 	DisableProxyCascade bool
-	// SelectVerifyBatch is how many ranked candidates SelectVideo verifies
-	// per engine submission before re-checking the early-termination
-	// condition (0 = 16). Smaller batches stop closer to exactly Limit
-	// confirmations; larger batches amortize pipeline overhead.
-	SelectVerifyBatch int
 	// VideoDecodeWorkers bounds the per-request pool of resident decoders
 	// that store-backed video sampling fans disjoint GOPs across (0 =
 	// min(GOMAXPROCS, 4)). Sampled frames still enter the shared engine in
@@ -101,8 +90,6 @@ type RuntimeConfig struct {
 	// Server must not grow memory without bound; beyond the cap the least
 	// recently used input class is evicted and recompiled on next sight.
 	MaxCachedPlans int
-	// Opts toggles engine optimizations (all on by default).
-	Opts engine.Options
 }
 
 // Runtime executes classification over encoded images with a zoo of
@@ -214,9 +201,6 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	if maxPlans <= 0 {
 		maxPlans = 1024
 	}
-	// Bit-identical tiers make the process-wide flip safe: in-flight GEMMs
-	// on other runtimes keep their results, only their speed tier moves.
-	tensor.SetF32SIMD(!cfg.DisableSIMD)
 	r := &Runtime{cfg: cfg}
 	r.ingest.init(maxPlans)
 	for _, e := range zoo.Entries() {
@@ -257,14 +241,6 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	}
 	r.execSem = make(chan struct{}, par)
 	return r, nil
-}
-
-// selectVerifyBatch resolves RuntimeConfig.SelectVerifyBatch.
-func (r *Runtime) selectVerifyBatch() int {
-	if r.cfg.SelectVerifyBatch > 0 {
-		return r.cfg.SelectVerifyBatch
-	}
-	return 16
 }
 
 // videoDecodeWorkers resolves RuntimeConfig.VideoDecodeWorkers.
@@ -682,7 +658,6 @@ func (r *Runtime) engineConfig() engine.Config {
 		Workers:   r.cfg.Workers,
 		BatchSize: r.cfg.BatchSize,
 		Shapes:    shapes,
-		Opts:      r.cfg.Opts,
 	}
 }
 

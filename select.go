@@ -290,6 +290,12 @@ func (v *selectVerifier) decodeCandidate(slot, frame int) error {
 	return nil
 }
 
+// selectVerifyBatch is how many ranked candidates selectCascade verifies
+// per engine submission before it re-checks the early-termination
+// condition: small enough to stop close to exactly Limit confirmations,
+// large enough to amortize the per-request pipeline overhead.
+const selectVerifyBatch = 16
+
 // selectCascade is stage 2: verify ranked candidates through the warm
 // engine in batches, descending by proxy confidence, decoding only the
 // GOPs the candidates live in, until Limit frames are confirmed. Confirmed
@@ -306,7 +312,7 @@ func (s *Server) selectCascade(ctx context.Context, str store.Stream, ent *rtEnt
 	if err := dec.SetGOPIndex(str.Index); err != nil {
 		return nil, err
 	}
-	batch := s.rt.selectVerifyBatch()
+	batch := selectVerifyBatch
 	cr := &classifyReq{
 		frames:    make([]*img.Image, batch),
 		framePool: &sync.Pool{},

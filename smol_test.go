@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"smol/internal/data"
-	"smol/internal/engine"
+	"smol/internal/tensor"
 )
 
 func paperDNNs() []DNNChoice {
@@ -208,18 +208,21 @@ func TestRuntimeClassifyEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRuntimeWithEngineOptionsOff(t *testing.T) {
-	clf, test := trainTinyClassifier(t)
-	rt, err := NewRuntime(clf.Model, RuntimeConfig{
-		InputRes: 16, BatchSize: 8,
-		Opts: engine.Options{DisableMemReuse: true, DisablePinned: true, DisableThreading: true},
-	})
-	if err != nil {
+// TestRuntimeLeavesKernelTierAlone: the f32 GEMM kernel tier is
+// process-wide state owned by its setter (smol-query -nosimd, SMOL_NOSIMD,
+// a test oracle), so building a runtime must not flip it back on. On a
+// build or host without the AVX2 kernel (-tags noasm, another
+// architecture, or SMOL_NOSIMD set) the tier is off already and this test
+// passes without testing anything.
+func TestRuntimeLeavesKernelTierAlone(t *testing.T) {
+	clf, _ := trainTinyClassifier(t)
+	prev := tensor.SetF32SIMD(false)
+	defer tensor.SetF32SIMD(prev)
+	if _, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16}); err != nil {
 		t.Fatal(err)
 	}
-	inputs := []EncodedImage{{Data: EncodeJPEG(test[0].Image, 90)}}
-	if _, err := rt.Classify(inputs); err != nil {
-		t.Fatal(err)
+	if tensor.F32SIMDActive() {
+		t.Fatal("NewRuntime switched the AVX2 f32 kernel tier back on")
 	}
 }
 
