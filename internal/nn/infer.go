@@ -12,10 +12,15 @@ import (
 // immutable InferencePlan: inference-mode BatchNorm2D layers are folded
 // into the preceding convolution's weights, bias / residual add / ReLU are
 // fused into the GEMM epilogue, and every convolution runs as a single
-// batched im2col + blocked tensor.GEMM over the whole batch. Activations
-// live in three fixed "registers" of a per-call arena (recycled through a
-// sync.Pool), so a warm forward performs approximately zero heap
-// allocations and any number of goroutines can run one plan concurrently.
+// GEMM over the whole batch. On the AVX2 tier that GEMM is an implicit
+// GEMM (tensor.GEMMPackedConv): the kernel gathers its input panels
+// straight from the activation, so no im2col matrix is ever written. The
+// portable tier writes the batched im2col matrix (tensor.Im2ColBatch) and
+// runs the blocked tensor.GEMMPackedRaw on it; the two tiers give
+// bit-identical logits. Activations live in three fixed "registers" of a
+// per-call arena (recycled through a sync.Pool), so a warm forward
+// performs approximately zero heap allocations and any number of
+// goroutines can run one plan concurrently.
 //
 // Model.Forward remains the training/reference path and the equivalence
 // oracle; the compiled plan carries its own (folded) copies of all weights
@@ -26,7 +31,7 @@ type opKind int
 
 const (
 	// opConv is a convolution with folded batch-norm and a fused
-	// bias/add/ReLU epilogue, executed as batched im2col + GEMM.
+	// bias/add/ReLU epilogue, executed as one batched (implicit) GEMM.
 	opConv opKind = iota
 	// opAvgPool is global average pooling, CNHW -> (N, C).
 	opAvgPool
@@ -71,8 +76,9 @@ type InferencePlan struct {
 
 // inferArena holds the recycled per-call activation memory: three
 // equally sized registers (enough for the residual dataflow), the im2col
-// column buffer, and the logits scratch. Buffers grow on demand and are
-// reused across calls via the plan's pool.
+// column buffer (portable tier only; the AVX2 tier never allocates it),
+// and the logits scratch. Buffers grow on demand and are reused across
+// calls via the plan's pool.
 type inferArena struct {
 	regs   [3][]float32
 	col    []float32
@@ -223,9 +229,10 @@ func inGeom(op planOp, geoms *[3]regGeom, inC, h, w int) regGeom {
 }
 
 // footprint walks the op list for an (n, h, w) input and returns the
-// element counts the arena needs: the largest register and the largest
-// im2col column matrix.
-func (p *InferencePlan) footprint(n, h, w int) (regElems, colElems int) {
+// element counts the arena needs: the largest register and, when the
+// forward runs on the portable tier (simd false), the largest im2col
+// column matrix.
+func (p *InferencePlan) footprint(n, h, w int, simd bool) (regElems, colElems int) {
 	var geoms [3]regGeom
 	for _, op := range p.ops {
 		switch op.kind {
@@ -233,7 +240,7 @@ func (p *InferencePlan) footprint(n, h, w int) (regElems, colElems int) {
 			g := inGeom(op, &geoms, p.inC, h, w)
 			outH := (g.h+2*op.pad-op.k)/op.stride + 1
 			outW := (g.w+2*op.pad-op.k)/op.stride + 1
-			if e := op.inC * op.k * op.k * n * outH * outW; e > colElems {
+			if e := op.inC * op.k * op.k * n * outH * outW; !simd && e > colElems {
 				colElems = e
 			}
 			if e := op.outC * n * outH * outW; e > regElems {
@@ -252,17 +259,18 @@ func (p *InferencePlan) footprint(n, h, w int) (regElems, colElems int) {
 	return regElems, colElems
 }
 
-// getArena fetches a recycled arena sized for an (n, h, w) batch. The
-// caller owns the arena and must Put it back once the forward finishes.
+// getArena fetches a recycled arena sized for an (n, h, w) batch on the
+// given kernel tier. The caller owns the arena and must Put it back once
+// the forward finishes.
 //
 //smol:owns
 //smol:noalloc
-func (p *InferencePlan) getArena(n, h, w int) *inferArena {
+func (p *InferencePlan) getArena(n, h, w int, simd bool) *inferArena {
 	ar, _ := p.arenas.Get().(*inferArena)
 	if ar == nil {
 		ar = &inferArena{} //smol:coldpath first call on this P
 	}
-	regElems, colElems := p.footprint(n, h, w)
+	regElems, colElems := p.footprint(n, h, w, simd)
 	for i := range ar.regs {
 		if cap(ar.regs[i]) < regElems {
 			ar.regs[i] = make([]float32, regElems) //smol:coldpath grow on shape change
@@ -280,14 +288,17 @@ func (p *InferencePlan) getArena(n, h, w int) *inferArena {
 // run executes the plan for x (N, C, H, W), leaving logits in
 // ar.logits[:N*classes]. Intermediate activations use the channel-major
 // CNHW layout (channel plane c of sample i starts at (c*N+i)*H*W), which
-// lets each conv be one contiguous batched GEMM.
+// lets each conv be one contiguous batched GEMM. simd selects the conv
+// lowering and must be the tier ar was sized for: the implicit GEMM, or
+// im2col into ar.col + GEMM. It is read once per forward, so a
+// concurrent SetF32SIMD never leaves a conv without its column buffer.
 //
 // When stats is non-nil (len 1+len(ops)) the pass additionally records
 // max-abs activation ranges — stats[0] for the input tensor, stats[1+i]
 // for op i's output register — which Calibrate folds into int8 scales.
 //
 //smol:noalloc
-func (p *InferencePlan) run(x *tensor.Tensor, ar *inferArena, stats []float32) {
+func (p *InferencePlan) run(x *tensor.Tensor, ar *inferArena, simd bool, stats []float32) {
 	if len(x.Shape) != 4 || x.Shape[1] != p.inC {
 		//smol:coldpath shape mismatch is a caller bug
 		panic(fmt.Sprintf("nn: InferencePlan input shape %v, want (N,%d,H,W)", x.Shape, p.inC))
@@ -304,22 +315,26 @@ func (p *InferencePlan) run(x *tensor.Tensor, ar *inferArena, stats []float32) {
 			outH := (g.h+2*op.pad-op.k)/op.stride + 1
 			outW := (g.w+2*op.pad-op.k)/op.stride + 1
 			total := n * outH * outW
-			rows := op.inC * op.k * op.k
-			col := ar.col[:rows*total]
-			if op.src < 0 {
-				// External input: NCHW strides.
-				tensor.Im2ColBatch(x.Data, n, op.inC, g.h, g.w, op.inC*g.h*g.w, g.h*g.w,
-					op.k, op.k, op.stride, op.pad, col)
-			} else {
-				// Arena register: CNHW strides.
-				tensor.Im2ColBatch(ar.regs[op.src], n, op.inC, g.h, g.w, g.h*g.w, n*g.h*g.w,
-					op.k, op.k, op.stride, op.pad, col)
+			// External input: NCHW strides; arena register: CNHW strides.
+			src := tensor.ConvSrc{Data: x.Data, N: n, C: op.inC, H: g.h, W: g.w,
+				SampleStride: op.inC * g.h * g.w, ChanStride: g.h * g.w,
+				K: op.k, Stride: op.stride, Pad: op.pad}
+			if op.src >= 0 {
+				src.Data, src.SampleStride, src.ChanStride = ar.regs[op.src], g.h*g.w, n*g.h*g.w
 			}
 			ep := tensor.Epilogue{RowBias: op.bias, ReLU: op.relu}
 			if op.add >= 0 {
 				ep.Add = ar.regs[op.add][:op.outC*total]
 			}
-			tensor.GEMMPackedRaw(op.wp, total, col, ar.regs[op.dst][:op.outC*total], ep)
+			dst := ar.regs[op.dst][:op.outC*total]
+			if simd {
+				tensor.GEMMPackedConv(op.wp, src, dst, ep)
+			} else {
+				col := ar.col[:op.inC*op.k*op.k*total]
+				tensor.Im2ColBatch(src.Data, n, op.inC, g.h, g.w, src.SampleStride, src.ChanStride,
+					op.k, op.k, op.stride, op.pad, col)
+				tensor.GEMMPackedRaw(op.wp, total, col, dst, ep)
+			}
 			if stats != nil {
 				stats[1+idx] = maxAbs32(ar.regs[op.dst][:op.outC*total])
 			}
@@ -363,8 +378,9 @@ func (p *InferencePlan) run(x *tensor.Tensor, ar *inferArena, stats []float32) {
 func (p *InferencePlan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	out := tensor.New(n, p.classes)
-	ar := p.getArena(n, x.Shape[2], x.Shape[3])
-	p.run(x, ar, nil)
+	simd := tensor.F32SIMDActive()
+	ar := p.getArena(n, x.Shape[2], x.Shape[3], simd)
+	p.run(x, ar, simd, nil)
 	copy(out.Data, ar.logits[:n*p.classes])
 	p.arenas.Put(ar)
 	return out
@@ -378,8 +394,8 @@ func (p *InferencePlan) Predict(x *tensor.Tensor) []int {
 }
 
 // PredictInto writes the argmax class per sample into preds (len N). A
-// warm call allocates nothing: activations, the im2col buffer, and the
-// logits scratch all come from the plan's recycled arenas.
+// warm call allocates nothing: activations, the portable tier's im2col
+// buffer, and the logits scratch all come from the plan's recycled arenas.
 //
 //smol:noalloc
 func (p *InferencePlan) PredictInto(x *tensor.Tensor, preds []int) {
@@ -388,8 +404,9 @@ func (p *InferencePlan) PredictInto(x *tensor.Tensor, preds []int) {
 		//smol:coldpath length mismatch is a caller bug
 		panic(fmt.Sprintf("nn: PredictInto preds length %d, want %d", len(preds), n))
 	}
-	ar := p.getArena(n, x.Shape[2], x.Shape[3])
-	p.run(x, ar, nil)
+	simd := tensor.F32SIMDActive()
+	ar := p.getArena(n, x.Shape[2], x.Shape[3], simd)
+	p.run(x, ar, simd, nil)
 	k := p.classes
 	for i := 0; i < n; i++ {
 		row := ar.logits[i*k : (i+1)*k]

@@ -151,8 +151,9 @@ func TestCompiledPlanConcurrent(t *testing.T) {
 }
 
 // TestCompiledWarmForwardAllocs: once warm, PredictInto runs out of the
-// recycled arena. With GOMAXPROCS pinned to 1 the GEMM never spawns
-// goroutines, so the forward should allocate nothing at all.
+// recycled arena on either kernel tier. With GOMAXPROCS pinned to 1 the
+// GEMM never spawns goroutines, so the forward should allocate nothing at
+// all.
 func TestCompiledWarmForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and sync.Pool drops puts under -race")
@@ -164,21 +165,71 @@ func TestCompiledWarmForwardAllocs(t *testing.T) {
 	fillRand(rand.New(rand.NewSource(1)), x)
 	preds := make([]int, 8)
 	plan.PredictInto(x, preds) // warm the arena pool
-	// GOMAXPROCS=1 keeps GEMMRaw on its serial path, so one warm forward
-	// transitively exercises every annotated kernel below it.
+	// GOMAXPROCS=1 keeps every GEMM on its serial path, so one warm
+	// forward transitively exercises every annotated kernel of its tier:
+	// the implicit GEMM on AVX2 hosts ...
 	alloctest.Run(t, "smol/internal/nn.InferencePlan.PredictInto", 0.5, func() {
 		plan.PredictInto(x, preds)
 	},
 		"smol/internal/nn.InferencePlan.run",
 		"smol/internal/nn.InferencePlan.getArena",
+		"smol/internal/tensor.gemmF32RangeAVX2",
+		"smol/internal/tensor.gatherB16",
+		"smol/internal/tensor.applyEpilogueAVX2")
+	// ... and im2col + the blocked portable GEMM on the portable tier.
+	prev := tensor.SetF32SIMD(false)
+	defer tensor.SetF32SIMD(prev)
+	plan.PredictInto(x, preds) // grow the arena's im2col buffer
+	alloctest.Run(t, "smol/internal/nn.InferencePlan.PredictInto", 0.5, func() {
+		plan.PredictInto(x, preds)
+	},
+		"smol/internal/tensor.Im2ColBatch",
 		"smol/internal/tensor.gemmRange",
 		"smol/internal/tensor.gemm4",
 		"smol/internal/tensor.gemm1",
-		"smol/internal/tensor.applyEpilogue",
-		"smol/internal/tensor.gemmF32RangeAVX2",
-		"smol/internal/tensor.packB16",
-		"smol/internal/tensor.applyEpilogueAVX2",
-		"smol/internal/tensor.Im2ColBatch")
+		"smol/internal/tensor.applyEpilogue")
+}
+
+// TestArenaColBufferPerTier: the AVX2 tier's implicit GEMM never needs the
+// im2col matrix, so a warm forward there leaves the arena's column buffer
+// unallocated (and the portable branch, which slices it, unreachable); the
+// portable tier sizes it for the largest conv's im2col matrix.
+func TestArenaColBufferPerTier(t *testing.T) {
+	if !tensor.F32SIMDAvailable() {
+		t.Skip("AVX2 f32 kernel not available on this host")
+	}
+	prev := tensor.SetF32SIMD(true)
+	defer tensor.SetF32SIMD(prev)
+	_, plan, _ := compiledVariant(t, VariantB, 3)
+	const n, res = 3, 20
+	x := tensor.New(n, 3, res, res)
+	fillRand(rand.New(rand.NewSource(2)), x)
+	// The largest im2col matrix is stage 1's 3x3 conv: 12 channels x 9
+	// taps rows by n*20*20 columns.
+	const wantCol = 12 * 9 * n * res * res
+
+	plan.Forward(x)
+	ar := plan.getArena(n, res, res, true)
+	plan.run(x, ar, true, nil)
+	if cap(ar.col) != 0 {
+		t.Fatalf("AVX2 tier: arena col capacity %d after a warm forward, want 0", cap(ar.col))
+	}
+	plan.arenas.Put(ar)
+	if _, col := plan.footprint(n, res, res, true); col != 0 {
+		t.Fatalf("AVX2 tier footprint reports %d im2col elements, want 0", col)
+	}
+
+	tensor.SetF32SIMD(false)
+	_, fresh, _ := compiledVariant(t, VariantB, 3)
+	fresh.Forward(x)
+	ar = fresh.getArena(n, res, res, false)
+	if cap(ar.col) != wantCol {
+		t.Fatalf("portable tier: arena col capacity %d, want %d", cap(ar.col), wantCol)
+	}
+	fresh.arenas.Put(ar)
+	if _, col := fresh.footprint(n, res, res, false); col != wantCol {
+		t.Fatalf("portable tier footprint reports %d im2col elements, want %d", col, wantCol)
+	}
 }
 
 // TestCompiledBatchSizeChange: the arena grows when a bigger batch

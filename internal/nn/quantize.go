@@ -104,8 +104,9 @@ func (p *InferencePlan) Calibrate(inputs []*tensor.Tensor) (QuantCalibration, er
 		for i := range stats {
 			stats[i] = 0
 		}
-		ar := p.getArena(x.Shape[0], x.Shape[2], x.Shape[3])
-		p.run(x, ar, stats)
+		simd := tensor.F32SIMDActive()
+		ar := p.getArena(x.Shape[0], x.Shape[2], x.Shape[3], simd)
+		p.run(x, ar, simd, stats)
 		p.arenas.Put(ar)
 		if stats[0] > maxIn {
 			maxIn = stats[0]

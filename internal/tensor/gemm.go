@@ -6,16 +6,20 @@ import (
 )
 
 // Blocked, parallel GEMM with a fused epilogue. This is the execution
-// kernel of the compiled inference path: convolutions lowered to im2col
-// run one batched matrix multiply per layer through GEMMFused, with bias,
-// residual add, and ReLU folded into the epilogue so the activation tensor
-// is touched exactly once.
+// kernel of the compiled inference path: every convolution runs as one
+// batched matrix multiply per layer, with bias, residual add, and ReLU
+// folded into the epilogue so the activation tensor is touched exactly
+// once. On the AVX2 tier the convolution is an implicit GEMM
+// (GEMMPackedConv, simd.go): the kernel gathers each 16-column b panel
+// straight from the activation and no im2col matrix exists. The portable
+// kernels in this file multiply a materialized b, which for a
+// convolution is Im2ColBatch's output.
 //
 // The loop nest is the classic three-level blocking (column tiles, k
 // blocks, register-tiled row panels). Within one output element the k
 // terms are accumulated in strictly ascending order, so results are
-// bit-identical to the reference MatMulInto regardless of blocking or
-// worker count — the equivalence suite relies on this.
+// bit-identical to the reference MatMulInto regardless of blocking,
+// worker count or tier — the equivalence suite relies on this.
 
 const (
 	// gemmMR is the register-tile height: rows of a processed together so
@@ -53,8 +57,7 @@ func GEMM(a, b, c *Tensor) {
 }
 
 // GEMMFused computes c = epilogue(a @ b). Large problems are split across
-// goroutines — row panels when m is tall enough, column panels otherwise
-// (the batched-im2col shape: few output channels, very many columns).
+// goroutines by column panels (see gemmParallel).
 func GEMMFused(a, b, c *Tensor, ep Epilogue) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(c.Shape) != 2 {
 		panic("tensor: GEMMFused wants 2-D operands")
@@ -74,11 +77,11 @@ func GEMMRaw(m, k, n int, a, b, c []float32, ep Epilogue) {
 		panic("tensor: GEMMRaw operand length mismatch")
 	}
 	checkEpilogue(m, n, ep)
-	if gemmF32Asm.Load() && m >= gemmMR && k > 0 && n >= gemmF32NR {
+	if gemmF32Asm.Load() && k > 0 {
 		gemmRawAVX2(m, k, n, a, b, c, ep)
 		return
 	}
-	gemmParallel(m, k, n, nil, a, b, c, ep)
+	gemmParallel(m, k, n, nil, a, denseSrc(k, n, b), c, ep)
 }
 
 // checkEpilogue validates the epilogue operands against the output shape.
@@ -93,45 +96,38 @@ func checkEpilogue(m, n int, ep Epilogue) {
 
 // gemmParallel splits the output across workers and runs each disjoint
 // region through gemmDispatch — the SIMD range when panels holds the
-// MR-interleaved a quads, the portable range otherwise. Row panels round
-// to gemmMR, so every worker's i0 stays quad-aligned for the panel layout.
-func gemmParallel(m, k, n int, panels, a, b, c []float32, ep Epilogue) {
+// MR-interleaved a quads, the portable range otherwise. Workers own column
+// panels, whole 16-column multiples, so each b panel is packed (or, for a
+// convolution, gathered) by exactly one worker, which then runs every row
+// quad against it. Only when b is too narrow to give each worker a panel
+// does the split fall back to row panels, rounded to gemmMR so every
+// worker's i0 stays quad-aligned for the panel layout.
+func gemmParallel(m, k, n int, panels, a []float32, b ConvSrc, c []float32, ep Epilogue) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || m*k*n < gemmSerialMACs {
 		gemmDispatch(m, k, n, panels, a, b, c, 0, m, 0, n, ep)
 		return
 	}
 	var wg sync.WaitGroup
-	if rows := (m + workers - 1) / workers; rows >= gemmMR {
-		// Tall enough: row panels, rounded to the register tile.
-		rows = (rows + gemmMR - 1) / gemmMR * gemmMR
-		for i0 := 0; i0 < m; i0 += rows {
-			i1 := i0 + rows
-			if i1 > m {
-				i1 = m
-			}
-			wg.Add(1)
-			go func(i0, i1 int) {
-				defer wg.Done()
-				gemmDispatch(m, k, n, panels, a, b, c, i0, i1, 0, n, ep)
-			}(i0, i1)
-		}
-	} else {
-		// Short and wide: column panels (disjoint output columns).
-		cols := (n + workers - 1) / workers
-		if cols < 64 {
-			cols = 64
-		}
+	if n >= workers*gemmF32NR {
+		cols := ((n+workers-1)/workers + gemmF32NR - 1) &^ (gemmF32NR - 1)
 		for j0 := 0; j0 < n; j0 += cols {
-			j1 := j0 + cols
-			if j1 > n {
-				j1 = n
-			}
+			j1 := min(j0+cols, n)
 			wg.Add(1)
 			go func(j0, j1 int) {
 				defer wg.Done()
 				gemmDispatch(m, k, n, panels, a, b, c, 0, m, j0, j1, ep)
 			}(j0, j1)
+		}
+	} else {
+		rows := quadRows((m + workers - 1) / workers)
+		for i0 := 0; i0 < m; i0 += rows {
+			i1 := min(i0+rows, m)
+			wg.Add(1)
+			go func(i0, i1 int) {
+				defer wg.Done()
+				gemmDispatch(m, k, n, panels, a, b, c, i0, i1, 0, n, ep)
+			}(i0, i1)
 		}
 	}
 	wg.Wait()

@@ -257,6 +257,6 @@ func TestGEMMF32WarmAllocs(t *testing.T) {
 		GEMMPackedRaw(pa, n, bm, c, ep)
 	},
 		"smol/internal/tensor.packAF32",
-		"smol/internal/tensor.packB16",
+		"smol/internal/tensor.gatherB16",
 		"smol/internal/tensor.applyEpilogueAVX2")
 }

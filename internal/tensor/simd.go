@@ -5,7 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// SIMD f32 GEMM tier: packing, dispatch, and the runtime toggle.
+// SIMD f32 GEMM tier: a-operand packing, b-panel gathering (which makes a
+// convolution an implicit GEMM), dispatch, and the runtime toggle.
 //
 // The AVX2 microkernel (gemm_f32_amd64.s) is bit-identical to the portable
 // gemm4/gemm1 path: vector lanes are distinct output columns, every k step
@@ -70,61 +71,200 @@ func Int8KernelName() string {
 // MR-interleaved quad panels, so the microkernel reads 4 rows' k-th
 // elements as one contiguous 16-byte line instead of 4 strided loads.
 // Panel element (quad i, k-index p, row r) lives at panels[i*4*k + p*4 + r];
-// the trailing m%4 rows stay in raw only and run through the portable
-// remainder kernel.
+// when m%4 != 0 the last quad is padded with zero rows, whose products the
+// kernel computes into scratch and discards.
 type PackedA struct {
 	m, k   int
 	raw    []float32
 	panels []float32
 }
 
-// PackA packs a row-major (m x k) matrix for repeated GEMMPackedRaw calls.
-// The raw slice is referenced, not copied; it must stay live and unchanged.
-// Panels are built even while the SIMD toggle is off, so flipping it back
-// on needs no re-pack.
+// PackA packs a row-major (m x k) matrix for repeated GEMMPackedRaw and
+// GEMMPackedConv calls. The raw slice is referenced, not copied; it must
+// stay live and unchanged. Panels are built even while the SIMD toggle is
+// off, so flipping it back on needs no re-pack.
 func PackA(m, k int, a []float32) *PackedA {
 	if len(a) < m*k {
 		panic("tensor: PackA operand length mismatch")
 	}
 	pa := &PackedA{m: m, k: k, raw: a}
-	if quad := m &^ (gemmMR - 1); f32SIMDSupported() && quad > 0 && k > 0 {
-		pa.panels = make([]float32, quad*k)
-		packAF32(quad, k, a, pa.panels)
+	if f32SIMDSupported() && m > 0 && k > 0 {
+		pa.panels = make([]float32, quadRows(m)*k)
+		packAF32(m, k, a, pa.panels)
 	}
 	return pa
 }
 
-// packAF32 interleaves quad full row quads of the (.. x k) matrix a into
-// dst: dst[i*4*k + p*4 + r] = a[(i*4+r)*k + p]. quad must be a multiple of
-// gemmMR.
+// quadRows rounds m up to whole row quads.
+func quadRows(m int) int { return (m + gemmMR - 1) &^ (gemmMR - 1) }
+
+// packAF32 interleaves the m rows of the row-major (m x k) matrix a into
+// quad panels: dst[i*4*k + p*4 + r] = a[(i*4+r)*k + p], and 0 for the
+// padding rows i*4+r >= m of the last quad. dst holds quadRows(m)*k
+// elements.
 //
 //smol:noalloc
-func packAF32(quad, k int, a, dst []float32) {
-	for i := 0; i < quad; i += gemmMR {
+func packAF32(m, k int, a, dst []float32) {
+	for i := 0; i < m; i += gemmMR {
 		panel := dst[i*k : (i+gemmMR)*k : (i+gemmMR)*k]
-		r0 := a[i*k : i*k+k]
-		r1 := a[(i+1)*k : (i+1)*k+k]
-		r2 := a[(i+2)*k : (i+2)*k+k]
-		r3 := a[(i+3)*k : (i+3)*k+k]
-		for p, v := range r0 {
-			panel[p*4] = v
-			panel[p*4+1] = r1[p]
-			panel[p*4+2] = r2[p]
-			panel[p*4+3] = r3[p]
+		for r := 0; r < gemmMR; r++ {
+			if i+r >= m {
+				for p := 0; p < k; p++ {
+					panel[p*gemmMR+r] = 0
+				}
+				continue
+			}
+			for p, v := range a[(i+r)*k : (i+r+1)*k] {
+				panel[p*gemmMR+r] = v
+			}
 		}
 	}
 }
 
-// packB16 gathers the (kc x 16) b tile at k-block pc, column jb into dst:
-// dst[p*16 + j] = b[(pc+p)*n + jb + j]. At gemmKC depth the tile is 16 KiB
-// — L1-resident, and reused by every row quad of the current range.
+// ConvSrc describes a convolution input as the implicit b operand of a
+// GEMM: the (C*K*K) x (N*outH*outW) im2col matrix whose row
+// (ci*K+ky)*K+kx, column (i*outH+oy)*outW+ox holds
+// Data[i*SampleStride + ci*ChanStride + iy*W + ix] with iy = oy*Stride +
+// ky - Pad and ix = ox*Stride + kx - Pad, or 0 where (iy, ix) lies in the
+// padding. That is exactly the matrix Im2ColBatch writes; GEMMPackedConv
+// reads it without writing it. NCHW inputs use SampleStride = C*H*W,
+// ChanStride = H*W; the compiled path's channel-major CNHW activations
+// use SampleStride = H*W, ChanStride = N*H*W.
+type ConvSrc struct {
+	Data                     []float32
+	N, C, H, W               int
+	SampleStride, ChanStride int
+	K, Stride, Pad           int
+}
+
+// OutSize returns the convolution's output plane size.
+func (s ConvSrc) OutSize() (outH, outW int) {
+	return (s.H+2*s.Pad-s.K)/s.Stride + 1, (s.W+2*s.Pad-s.K)/s.Stride + 1
+}
+
+// denseSrc views a row-major (k x n) matrix as a ConvSrc: a 1x1
+// convolution over one sample of k channels, each a 1 x n row, whose
+// im2col matrix is b itself.
+func denseSrc(k, n int, b []float32) ConvSrc {
+	return ConvSrc{Data: b, N: 1, C: k, H: 1, W: n, SampleStride: k * n, ChanStride: n, K: 1, Stride: 1}
+}
+
+// gatherSeg is a run of panel columns [j0, j1) that share one sample and
+// one output row, so their source pixels sit in one input row, Stride
+// apart.
+type gatherSeg struct {
+	j0, j1   int
+	base     int // Data offset of the sample
+	iy0, ix0 int // input coordinates of column j0 before the kernel offset
+}
+
+// gatherB16 writes the (kc x 16) panel of s's im2col matrix at k-block pc
+// and columns [jb, jb+w) into dst: dst[p*16 + j] = B[pc+p][jb+j], and 0 for
+// the padding columns w <= j < 16. The rows walk (ci, ky, kx) in ascending
+// k order, exactly as Im2ColBatch lays them out, so a kernel consuming the
+// panel accumulates every output element in the same order. At gemmKC
+// depth the panel is 16 KiB: L1-resident, and reused by every row quad.
 //
 //smol:noalloc
-func packB16(n int, b []float32, pc, kc, jb int, dst *[gemmKC * gemmF32NR]float32) {
-	for p := 0; p < kc; p++ {
-		src := b[(pc+p)*n+jb : (pc+p)*n+jb+gemmF32NR]
-		copy(dst[p*gemmF32NR:(p+1)*gemmF32NR], src)
+func gatherB16(s *ConvSrc, outH, outW, pc, kc, jb, w int, dst *[gemmKC * gemmF32NR]float32) {
+	// Split the panel's columns into runs within one sample's output row.
+	var segs [gemmF32NR]gatherSeg
+	ns := 0
+	ohow := outH * outW
+	for j := 0; j < w; ns++ {
+		col := jb + j
+		i := col / ohow
+		oy := (col - i*ohow) / outW
+		ox := col - i*ohow - oy*outW
+		run := min(outW-ox, w-j)
+		segs[ns] = gatherSeg{j0: j, j1: j + run, base: i * s.SampleStride,
+			iy0: oy*s.Stride - s.Pad, ix0: ox*s.Stride - s.Pad}
+		j += run
 	}
+	if w < gemmF32NR {
+		for p := 0; p < kc; p++ {
+			clear(dst[p*gemmF32NR+w : (p+1)*gemmF32NR])
+		}
+	}
+	kk := s.K * s.K
+	ci0, ky0, kx0 := pc/kk, pc%kk/s.K, pc%s.K
+	for _, sg := range segs[:ns] {
+		ci, ky, kx := ci0, ky0, kx0
+		span := (sg.j1-sg.j0-1)*s.Stride + 1 // input pixels one tap row covers
+		if sg.iy0 >= 0 && sg.iy0+s.K <= s.H && sg.ix0 >= 0 && sg.ix0+span+s.K-1 <= s.W {
+			// Interior run: every tap lands inside the input, so each row
+			// is a plain (strided) copy from a running offset.
+			off := sg.base + ci*s.ChanStride + (sg.iy0+ky)*s.W + sg.ix0 + kx
+			for p := 0; p < kc; p++ {
+				out := dst[p*gemmF32NR+sg.j0 : p*gemmF32NR+sg.j1]
+				if s.Stride == 1 && len(out) == gemmF32NR {
+					copy16(out, s.Data[off:])
+				} else {
+					in := s.Data[off : off+span]
+					for j := range out {
+						out[j] = in[j*s.Stride]
+					}
+				}
+				off++
+				if kx++; kx == s.K {
+					kx, ky, off = 0, ky+1, off+s.W-s.K
+					if ky == s.K {
+						ky, ci, off = 0, ci+1, off+s.ChanStride-s.K*s.W
+					}
+				}
+			}
+			continue
+		}
+		// Border run: per row, only the taps [lo, hi) land inside the
+		// input; the rest read the zero padding.
+		for p := 0; p < kc; p++ {
+			out := dst[p*gemmF32NR+sg.j0 : p*gemmF32NR+sg.j1]
+			lo, hi := 0, 0
+			if iy := sg.iy0 + ky; iy >= 0 && iy < s.H {
+				ix := sg.ix0 + kx
+				if s.Stride == 1 {
+					lo, hi = -ix, s.W-ix
+				} else {
+					lo, hi = (s.Stride-1-ix)/s.Stride, (s.W-ix+s.Stride-1)/s.Stride
+				}
+				lo = min(max(lo, 0), len(out))
+				hi = max(min(hi, len(out)), lo)
+				if hi > lo {
+					x0 := sg.base + ci*s.ChanStride + iy*s.W + ix + lo*s.Stride
+					if s.Stride == 1 {
+						copy(out[lo:hi], s.Data[x0:x0+hi-lo])
+					} else {
+						in := s.Data[x0 : x0+(hi-lo-1)*s.Stride+1]
+						for j := range out[lo:hi] {
+							out[lo+j] = in[j*s.Stride]
+						}
+					}
+				}
+			}
+			for j := range out[:lo] {
+				out[j] = 0
+			}
+			for j := hi; j < len(out); j++ {
+				out[j] = 0
+			}
+			if kx++; kx == s.K {
+				if kx, ky = 0, ky+1; ky == s.K {
+					ky, ci = 0, ci+1
+				}
+			}
+		}
+	}
+}
+
+// copy16 copies 16 floats from src to dst in four 16-byte moves. A plain
+// copy or 64-byte array assignment compiles to a memmove call, which
+// costs more than the move itself at this size.
+func copy16(dst, src []float32) {
+	d, s := (*[gemmF32NR]float32)(dst), (*[gemmF32NR]float32)(src)
+	*(*[4]float32)(d[0:4]) = *(*[4]float32)(s[0:4])
+	*(*[4]float32)(d[4:8]) = *(*[4]float32)(s[4:8])
+	*(*[4]float32)(d[8:12]) = *(*[4]float32)(s[8:12])
+	*(*[4]float32)(d[12:16]) = *(*[4]float32)(s[12:16])
 }
 
 // packBuf is the pooled scratch GEMMRaw packs its a operand into when the
@@ -133,18 +273,18 @@ type packBuf struct{ buf []float32 }
 
 var packAPool = sync.Pool{New: func() any { return new(packBuf) }}
 
-// gemmRawAVX2 is GEMMRaw's SIMD path: pack a's full row quads into pooled
+// gemmRawAVX2 is GEMMRaw's SIMD path: pack a's row quads into pooled
 // scratch, run the parallel kernel, return the scratch. Warm calls do not
 // allocate.
 func gemmRawAVX2(m, k, n int, a, b, c []float32, ep Epilogue) {
 	pb := packAPool.Get().(*packBuf)
-	quad := m &^ (gemmMR - 1)
-	if cap(pb.buf) < quad*k {
-		pb.buf = make([]float32, quad*k)
+	size := quadRows(m) * k
+	if cap(pb.buf) < size {
+		pb.buf = make([]float32, size)
 	}
-	panels := pb.buf[:quad*k]
-	packAF32(quad, k, a, panels)
-	gemmParallel(m, k, n, panels, a, b, c, ep)
+	panels := pb.buf[:size]
+	packAF32(m, k, a, panels)
+	gemmParallel(m, k, n, panels, a, denseSrc(k, n, b), c, ep)
 	packAPool.Put(pb)
 }
 
@@ -159,69 +299,105 @@ func GEMMPackedRaw(pa *PackedA, n int, b, c []float32, ep Epilogue) {
 	}
 	checkEpilogue(m, n, ep)
 	panels := pa.panels
-	if panels != nil && !(gemmF32Asm.Load() && n >= gemmF32NR) {
+	if !gemmF32Asm.Load() {
 		panels = nil
 	}
-	gemmParallel(m, k, n, panels, pa.raw, b, c, ep)
+	gemmParallel(m, k, n, panels, pa.raw, denseSrc(k, n, b), c, ep)
+}
+
+// GEMMPackedConv is an implicit-GEMM convolution: c = epilogue(pa @ B),
+// where B is src's im2col matrix (see ConvSrc). Each 16-column B panel is
+// gathered straight from src.Data inside the kernel, in the ascending k
+// order Im2ColBatch uses, so no im2col matrix is written and c is bit for
+// bit what GEMMPackedRaw returns on Im2ColBatch's output. c is row-major
+// (m x src.N*outH*outW). It always runs the AVX2 kernel and needs pa's
+// panels, which PackA builds wherever F32SIMDAvailable; the portable tier
+// lowers a convolution through Im2ColBatch + GEMMPackedRaw instead.
+func GEMMPackedConv(pa *PackedA, src ConvSrc, c []float32, ep Epilogue) {
+	if pa.panels == nil {
+		panic("tensor: GEMMPackedConv needs the AVX2 f32 kernel")
+	}
+	if pa.k != src.C*src.K*src.K || src.N <= 0 || src.Stride <= 0 {
+		panic("tensor: GEMMPackedConv geometry mismatch")
+	}
+	if len(src.Data) < (src.N-1)*src.SampleStride+(src.C-1)*src.ChanStride+src.H*src.W {
+		panic("tensor: GEMMPackedConv source too short")
+	}
+	outH, outW := src.OutSize()
+	n := src.N * outH * outW
+	if len(c) < pa.m*n {
+		panic("tensor: GEMMPackedConv output too short")
+	}
+	checkEpilogue(pa.m, n, ep)
+	gemmParallel(pa.m, pa.k, n, pa.panels, pa.raw, src, c, ep)
 }
 
 // gemmDispatch routes one worker's disjoint region to the SIMD range when
-// an a panel is available, and to the portable range otherwise.
-func gemmDispatch(m, k, n int, panels, a, b, c []float32, i0, i1, j0, j1 int, ep Epilogue) {
+// an a panel is available, and to the portable range otherwise. The
+// portable range reads b densely, so it is only ever handed a denseSrc.
+func gemmDispatch(m, k, n int, panels, a []float32, b ConvSrc, c []float32, i0, i1, j0, j1 int, ep Epilogue) {
 	if panels != nil {
-		gemmF32RangeAVX2(k, n, panels, a, b, c, i0, i1, j0, j1, ep)
+		gemmF32RangeAVX2(k, n, panels, &b, c, i0, i1, j0, j1, ep)
 		return
 	}
-	gemmRange(m, k, n, a, b, c, i0, i1, j0, j1, ep)
+	gemmRange(m, k, n, a, b.Data, c, i0, i1, j0, j1, ep)
 }
 
 // gemmF32RangeAVX2 is the SIMD serial core: the same jc/pc blocking as
-// gemmRange, but 16-column b tiles are packed into stack scratch and full
-// row quads run the 4x16 microkernel. Row remainders (i1 not a multiple of
-// 4 — only ever the matrix tail, since parallel row splits round to
-// gemmMR) and column remainders (nc % 16) run the portable gemm4/gemm1 on
-// the raw operands, which is bit-identical by construction. i0 must be a
-// multiple of gemmMR.
+// gemmRange, but b arrives as 16-column panels gathered from b's source
+// into stack scratch, and every row quad runs the 4x16 microkernel. Edge
+// tiles — the zero-padded last a quad when i1%4 != 0, the zero-padded last
+// b panel when the range's width is not a multiple of 16 — run the same
+// kernel through tileEdge. i0 must be a multiple of gemmMR.
 //
 //smol:noalloc
-func gemmF32RangeAVX2(k, n int, panels, a, b, c []float32, i0, i1, j0, j1 int, ep Epilogue) {
+func gemmF32RangeAVX2(k, n int, panels []float32, b *ConvSrc, c []float32, i0, i1, j0, j1 int, ep Epilogue) {
 	var bpack [gemmKC * gemmF32NR]float32
+	outH, outW := b.OutSize()
 	quad := i0 + (i1-i0)&^(gemmMR-1)
 	for jc := j0; jc < j1; jc += gemmNC {
-		nc := j1 - jc
-		if nc > gemmNC {
-			nc = gemmNC
-		}
+		nc := min(j1-jc, gemmNC)
 		for pc := 0; pc < k; pc += gemmKC {
-			kc := k - pc
-			if kc > gemmKC {
-				kc = gemmKC
-			}
+			kc := min(k-pc, gemmKC)
 			first := 0
 			if pc == 0 {
 				first = 1
 			}
-			jb := jc
-			for ; jb+gemmF32NR <= jc+nc; jb += gemmF32NR {
-				packB16(n, b, pc, kc, jb, &bpack)
-				for i := i0; i < quad; i += gemmMR {
-					gemmF32Tile4x16(&panels[i*k+pc*gemmMR], &bpack[0], &c[i*n+jb], kc, n, first)
-				}
-				for i := quad; i < i1; i++ {
-					gemm1(k, n, a, b, c, i, jb, gemmF32NR, pc, kc, first == 1)
-				}
-			}
-			if rem := jc + nc - jb; rem > 0 {
+			for jb := jc; jb < jc+nc; jb += gemmF32NR {
+				w := min(jc+nc-jb, gemmF32NR)
+				gatherB16(b, outH, outW, pc, kc, jb, w, &bpack)
 				i := i0
-				for ; i+gemmMR <= i1; i += gemmMR {
-					gemm4(k, n, a, b, c, i, jb, rem, pc, kc, first == 1)
+				if w == gemmF32NR {
+					for ; i < quad; i += gemmMR {
+						gemmF32Tile4x16(&panels[i*k+pc*gemmMR], &bpack[0], &c[i*n+jb], kc, n, first)
+					}
 				}
-				for ; i < i1; i++ {
-					gemm1(k, n, a, b, c, i, jb, rem, pc, kc, first == 1)
+				for ; i < i1; i += gemmMR {
+					tileEdge(&panels[i*k+pc*gemmMR], &bpack, c, i*n+jb, n, min(i1-i, gemmMR), w, kc, first)
 				}
 			}
 		}
 		applyEpilogueAVX2(n, c, i0, i1, jc, nc, ep)
+	}
+}
+
+// tileEdge runs the microkernel on a partial tile of rows x cols elements
+// at c[off], through a 4x16 stack scratch tile: the valid part of c is
+// copied in (unless first seeds the sums), the kernel runs, and the valid
+// part is copied back. Each valid element sees exactly the multiplies and
+// adds a full tile would give it; the padding lanes are discarded.
+//
+//smol:noalloc
+func tileEdge(a *float32, b *[gemmKC * gemmF32NR]float32, c []float32, off, n, rows, cols, kc, first int) {
+	var t [gemmMR * gemmF32NR]float32
+	if first == 0 {
+		for r := 0; r < rows; r++ {
+			copy(t[r*gemmF32NR:r*gemmF32NR+cols], c[off+r*n:off+r*n+cols])
+		}
+	}
+	gemmF32Tile4x16(a, &b[0], &t[0], kc, gemmF32NR, first)
+	for r := 0; r < rows; r++ {
+		copy(c[off+r*n:off+r*n+cols], t[r*gemmF32NR:r*gemmF32NR+cols])
 	}
 }
 
