@@ -34,6 +34,11 @@ const (
 	// gemmSerialMACs is the problem size (m*k*n multiply-adds) below which
 	// spawning goroutines costs more than it saves.
 	gemmSerialMACs = 1 << 16
+	// gemmSplitCols is the narrowest column range a worker is given: four
+	// 16-column panels. Narrower ranges shorten the portable kernel's
+	// rows until its per-tile setup dominates (64x64x64 ran ~20% slower
+	// split into 32-column halves than into 32-row halves).
+	gemmSplitCols = 4 * gemmF32NR
 )
 
 // Epilogue describes the fused tail applied to every element of c after
@@ -97,11 +102,11 @@ func checkEpilogue(m, n int, ep Epilogue) {
 // gemmParallel splits the output across workers and runs each disjoint
 // region through gemmDispatch — the SIMD range when panels holds the
 // MR-interleaved a quads, the portable range otherwise. Workers own column
-// panels, whole 16-column multiples, so each b panel is packed (or, for a
+// ranges, whole 16-column multiples, so each b panel is packed (or, for a
 // convolution, gathered) by exactly one worker, which then runs every row
-// quad against it. Only when b is too narrow to give each worker a panel
-// does the split fall back to row panels, rounded to gemmMR so every
-// worker's i0 stays quad-aligned for the panel layout.
+// quad against it. Only when b is too narrow to give each worker
+// gemmSplitCols columns does the split fall back to row panels, rounded
+// to gemmMR so every worker's i0 stays quad-aligned for the panel layout.
 func gemmParallel(m, k, n int, panels, a []float32, b ConvSrc, c []float32, ep Epilogue) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || m*k*n < gemmSerialMACs {
@@ -109,7 +114,7 @@ func gemmParallel(m, k, n int, panels, a []float32, b ConvSrc, c []float32, ep E
 		return
 	}
 	var wg sync.WaitGroup
-	if n >= workers*gemmF32NR {
+	if n >= workers*gemmSplitCols {
 		cols := ((n+workers-1)/workers + gemmF32NR - 1) &^ (gemmF32NR - 1)
 		for j0 := 0; j0 < n; j0 += cols {
 			j1 := min(j0+cols, n)

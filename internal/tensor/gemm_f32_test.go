@@ -183,14 +183,15 @@ func TestGEMMPackedMatchesRaw(t *testing.T) {
 }
 
 // TestGEMMF32ParallelMatchesSerial: the worker split must stay bit-stable
-// for the SIMD path too — row splits are quad-aligned for the panel
-// layout, column splits hand the SIMD range a nonzero j0.
+// for the SIMD path too — column splits hand the SIMD range a nonzero j0,
+// and row splits (b too narrow for column ranges) are quad-aligned for the
+// panel layout, with a partial last quad when m%4 != 0.
 func TestGEMMF32ParallelMatchesSerial(t *testing.T) {
 	if !F32SIMDAvailable() {
 		t.Skip("AVX2 f32 kernel not available on this host")
 	}
 	rng := rand.New(rand.NewSource(15))
-	for _, sh := range [][3]int{{64, 128, 640}, {4, 90, 2000}} {
+	for _, sh := range [][3]int{{64, 128, 640}, {4, 90, 2000}, {26, 70, 200}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := randF32s(rng, m*k)
 		bm := randF32s(rng, k*n)
