@@ -1,7 +1,7 @@
 package smol
 
 // Benchmark harness: one benchmark per table and figure of the paper (see
-// DESIGN.md's experiment index), plus real-substrate microbenchmarks for
+// internal/experiments), plus real-substrate microbenchmarks for
 // the codecs, preprocessing kernels, queue, and engine so the repo's own
 // performance claims are measurable with `go test -bench`.
 //
@@ -432,11 +432,23 @@ func BenchmarkResNetForward(b *testing.B) {
 // BenchmarkResNetForwardCompiled is the compiled-plan counterpart of
 // BenchmarkResNetForward: same variants, same batch-8 input, executed
 // through nn.Compile's folded/fused/arena path. The ratio between the two
-// is the compiled-path speedup tracked in BENCH_infer.json.
+// is the compiled-path speedup tracked in BENCH_infer.json. The extra
+// resnet-b-128px case is the still-thumb workload's plan (resnet-b on
+// 128x128 inputs, batch 8), where the conv GEMMs have ~131k columns.
 func BenchmarkResNetForwardCompiled(b *testing.B) {
+	type fwdCase struct {
+		name    string
+		variant string
+		res     int
+	}
+	var cases []fwdCase
 	for _, variant := range nn.Variants() {
-		b.Run(variant, func(b *testing.B) {
-			cfg, err := nn.VariantConfig(variant, 10, 32)
+		cases = append(cases, fwdCase{variant, variant, 32})
+	}
+	cases = append(cases, fwdCase{nn.VariantB + "-128px", nn.VariantB, 128})
+	for _, fc := range cases {
+		b.Run(fc.name, func(b *testing.B) {
+			cfg, err := nn.VariantConfig(fc.variant, 10, fc.res)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -448,7 +460,7 @@ func BenchmarkResNetForwardCompiled(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			x := tensor.New(8, 3, 32, 32)
+			x := tensor.New(8, 3, fc.res, fc.res)
 			preds := make([]int, 8)
 			plan.PredictInto(x, preds) // warm the arena pool
 			b.ReportAllocs()

@@ -1,6 +1,6 @@
 // Command smol-bench regenerates every table and figure of the paper's
-// evaluation and prints them as aligned text tables. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured commentary.
+// evaluation (one runner each in internal/experiments) and prints them as
+// aligned text tables.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md). Each experiment
-// returns a Table — rows of named columns — that cmd/smol-bench prints and
-// EXPERIMENTS.md records against the paper's published values.
+// evaluation. Each experiment returns a Table — rows of named columns —
+// that cmd/smol-bench prints.
 //
 // Throughput numbers come from the calibrated hardware model and the
 // discrete-event pipeline simulator (paper-scale, deterministic); accuracy

@@ -4,8 +4,8 @@
 // §7. A deterministic discrete-event simulator (sim.go) composes these into
 // pipelined end-to-end throughput.
 //
-// Substitution note (see DESIGN.md): no GPU is available in this
-// environment, so DNN execution time is a calibrated service-time model.
+// Substitution note: the reproduction runs without a GPU, so DNN
+// execution time is a calibrated service-time model.
 // The calibration anchors are the paper's own published measurements
 // (Tables 1, 2, 5 and §2); everything downstream — cost-model accuracy,
 // Pareto frontiers, operator placement — consumes only these service times,
