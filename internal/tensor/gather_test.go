@@ -157,7 +157,8 @@ func TestGEMMPackedConvMatchesIm2Col(t *testing.T) {
 }
 
 // TestGEMMPackedConvWarmAllocs: the implicit GEMM gathers into stack
-// scratch, so a warm serial call allocates nothing.
+// scratch, so a warm serial call allocates nothing. The 40-wide output
+// rows give interior and border panels, and m = 6 a partial row quad.
 func TestGEMMPackedConvWarmAllocs(t *testing.T) {
 	if !F32SIMDAvailable() {
 		t.Skip("AVX2 f32 kernel not available on this host")
@@ -165,7 +166,7 @@ func TestGEMMPackedConvWarmAllocs(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	rng := rand.New(rand.NewSource(23))
-	g := convCase{n: 2, c: 3, h: 9, w: 11, k: 3, stride: 2, pad: 1, cnhw: true}
+	g := convCase{n: 2, c: 3, h: 9, w: 40, k: 3, stride: 1, pad: 1, cnhw: true}
 	s := g.src(rng)
 	outH, outW := s.OutSize()
 	const m = 6
@@ -176,6 +177,7 @@ func TestGEMMPackedConvWarmAllocs(t *testing.T) {
 		GEMMPackedConv(pa, s, c, ep)
 	},
 		"smol/internal/tensor.gemmF32RangeAVX2",
+		"smol/internal/tensor.copy16",
 		"smol/internal/tensor.tileEdge",
 		"smol/internal/tensor.applyEpilogueAVX2")
 }

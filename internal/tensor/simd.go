@@ -259,6 +259,8 @@ func gatherB16(s *ConvSrc, outH, outW, pc, kc, jb, w int, dst *[gemmKC * gemmF32
 // copy16 copies 16 floats from src to dst in four 16-byte moves. A plain
 // copy or 64-byte array assignment compiles to a memmove call, which
 // costs more than the move itself at this size.
+//
+//smol:noalloc
 func copy16(dst, src []float32) {
 	d, s := (*[gemmF32NR]float32)(dst), (*[gemmF32NR]float32)(src)
 	*(*[4]float32)(d[0:4]) = *(*[4]float32)(s[0:4])
