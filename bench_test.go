@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"testing"
 
-	"smol/internal/audio"
 	"smol/internal/codec/jpeg"
 	"smol/internal/codec/spng"
 	"smol/internal/codec/vid"
@@ -602,50 +601,6 @@ func BenchmarkGEMMInt8(b *testing.B) {
 			macs := float64(size) * float64(size) * float64(size)
 			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})
-	}
-}
-
-func BenchmarkADPCMDecodeFull(b *testing.B) {
-	samples := make([]int16, 64000)
-	for i := range samples {
-		samples[i] = int16((i * 37) % 8192)
-	}
-	enc := audio.Encode(samples)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := audio.Decode(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkADPCMDecodeEarlyStop(b *testing.B) {
-	samples := make([]int16, 64000)
-	for i := range samples {
-		samples[i] = int16((i * 37) % 8192)
-	}
-	enc := audio.Encode(samples)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := audio.DecodeSamples(enc, 16000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSpectrogram(b *testing.B) {
-	samples := make([]int16, 16000)
-	for i := range samples {
-		samples[i] = int16((i * 53) % 8192)
-	}
-	cfg := audio.SpectrogramConfig{SampleRate: 16000, FrameSize: 400, HopSize: 160, Bins: 40}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := audio.Spectrogram(samples, cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
