@@ -43,7 +43,10 @@ func (c Codec) String() string {
 
 // MediaInput is one encoded input tagged with its codec: the media-generic
 // unit the serving stack plans for and decodes. Still images (JPEG, PNG)
-// flow through Classify; video streams through ClassifyVideo/EstimateMean.
+// flow through Classify/ClassifyMedia. A video stream is a whole request,
+// not one sample, so ClassifyMedia rejects CodecVideo: ClassifyVideo and
+// EstimateMean take the stream's bytes and serve them through the stored
+// video path over a per-request GOP index.
 type MediaInput struct {
 	Codec Codec
 	Data  []byte

@@ -88,7 +88,10 @@ const fuzzMaxPixels = 1 << 16
 // of the stream and one SeekFrame, with and without deblocking. Motion
 // vectors are payload bytes, so prediction must stay inside the reference
 // planes whatever they say. Any outcome but a panic, a wrongly sized frame
-// or more frames than the header declares is acceptable. The seed corpus
+// or more frames than the header declares is acceptable. Request bytes are
+// indexed with IndexGOPs before any GOP fan-out, so a table it returns must
+// tile [0, Frames) with non-empty, contiguous groups that SetGOPIndex
+// accepts. The seed corpus
 // is the truncation and corruption inputs above, so plain go test runs
 // it; go test -fuzz=FuzzDecode explores from there.
 func FuzzDecode(f *testing.F) {
@@ -104,6 +107,25 @@ func FuzzDecode(f *testing.F) {
 		info, err := Probe(data)
 		if err != nil || info.W*info.H > fuzzMaxPixels {
 			return
+		}
+		if index, err := IndexGOPs(data); err == nil {
+			next := 0
+			for g, e := range index {
+				if e.FirstFrame != next || e.Frames < 1 {
+					t.Fatalf("GOP %d covers [%d,%d), want a non-empty group starting at %d", g, e.FirstFrame, e.FirstFrame+e.Frames, next)
+				}
+				next += e.Frames
+			}
+			if next != info.Frames {
+				t.Fatalf("GOP index covers %d frames, header declares %d", next, info.Frames)
+			}
+			dec, err := NewDecoder(data, DecodeOptions{})
+			if err != nil {
+				t.Fatalf("Probe accepted a header NewDecoder rejects: %v", err)
+			}
+			if err := dec.SetGOPIndex(index); err != nil {
+				t.Fatalf("SetGOPIndex rejects the IndexGOPs table: %v", err)
+			}
 		}
 		for _, deblock := range []bool{true, false} {
 			dec, err := NewDecoder(data, DecodeOptions{DisableDeblock: !deblock})

@@ -177,20 +177,13 @@ func (s *Store) Ingest(name string, data []byte, opts IngestOptions) (*Video, er
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
-	info, err := vid.Probe(data)
+	primary, err := IndexStream(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: ingesting %q: %w", name, err)
 	}
-	index, err := vid.IndexGOPs(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: indexing %q: %w", name, err)
-	}
-	v := &Video{
-		Name:    name,
-		Primary: Stream{Data: data, Info: info, Index: index},
-	}
-	if edges := renditionEdges(info, opts.RenditionShortEdges); len(edges) > 0 {
-		v.Renditions, err = buildRenditions(data, info, edges, opts.RenditionQuality)
+	v := &Video{Name: name, Primary: primary}
+	if edges := renditionEdges(primary.Info, opts.RenditionShortEdges); len(edges) > 0 {
+		v.Renditions, err = buildRenditions(primary, edges, opts.RenditionQuality)
 		if err != nil {
 			return nil, fmt.Errorf("store: rendering %q renditions: %w", name, err)
 		}
@@ -243,6 +236,23 @@ func (s *Store) Ingest(name string, data []byte, opts IngestOptions) (*Video, er
 	return v, nil
 }
 
+// IndexStream probes an SVID stream's header and scans its GOP table: the
+// one place bytes become a Stream, whether the stream is about to be
+// persisted by Ingest or served once from a request's bytes. The index
+// tiles [0, Info.Frames) contiguously, which is what SetGOPIndex and every
+// GOP fan-out rely on.
+func IndexStream(data []byte) (Stream, error) {
+	info, err := vid.Probe(data)
+	if err != nil {
+		return Stream{}, err
+	}
+	index, err := vid.IndexGOPs(data)
+	if err != nil {
+		return Stream{}, err
+	}
+	return Stream{Data: data, Info: info, Index: index}, nil
+}
+
 // renditionEdges filters the requested short edges: in-range, deduplicated,
 // strictly below the source's short edge, largest first (so rendition order
 // is deterministic and roughly mirrors quality).
@@ -267,11 +277,12 @@ func renditionEdges(info vid.Info, edges []int) []int {
 // buildRenditions decodes the primary once and re-encodes it at each
 // requested short edge, preserving the source GOP interval so every
 // rendition shares the primary's timeline (the planner's variant contract).
-func buildRenditions(data []byte, info vid.Info, edges []int, quality int) ([]Stream, error) {
-	frames, err := vid.DecodeAll(data, vid.DecodeOptions{})
+func buildRenditions(src Stream, edges []int, quality int) ([]Stream, error) {
+	frames, err := vid.DecodeAll(src.Data, vid.DecodeOptions{})
 	if err != nil {
 		return nil, err
 	}
+	info := src.Info
 	if quality <= 0 {
 		quality = info.Quality
 	}
@@ -286,15 +297,11 @@ func buildRenditions(data []byte, info vid.Info, edges []int, quality int) ([]St
 		if err != nil {
 			return nil, err
 		}
-		rinfo, err := vid.Probe(enc)
+		r, err := IndexStream(enc)
 		if err != nil {
 			return nil, err
 		}
-		rindex, err := vid.IndexGOPs(enc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Stream{Data: enc, Info: rinfo, Index: rindex})
+		out = append(out, r)
 	}
 	return out, nil
 }

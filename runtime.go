@@ -73,9 +73,11 @@ type RuntimeConfig struct {
 	// decode and inference work.
 	DisableProxyCascade bool
 	// VideoDecodeWorkers bounds the per-request pool of resident decoders
-	// that store-backed video sampling fans disjoint GOPs across (0 =
-	// min(GOMAXPROCS, 4)). Sampled frames still enter the shared engine in
-	// frame order regardless of the pool size.
+	// that all GOP-seek video sampling fans disjoint GOPs across — raw and
+	// stored ClassifyVideo requests and SelectVideo's full-scan oracle
+	// alike (0 = min(GOMAXPROCS, 4)). Sampled frames still enter the shared
+	// engine in frame order, and the request's decode counters are the same,
+	// regardless of the pool size.
 	VideoDecodeWorkers int
 	// VideoDeblockPenalty is the validation-accuracy penalty the video
 	// planner assumes when it serves a stream with the in-loop deblocking

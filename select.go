@@ -110,12 +110,15 @@ type SelectResult struct {
 //
 // With RuntimeConfig.DisableProxyCascade (or DisableGOPSeek, which removes
 // the index the cascade seeks with) the query verifies every sampled frame
-// sequentially instead. That path is the equivalence oracle: it returns
-// exactly the same frame set, because matching is defined by the same
-// deterministic predicate and ordering in both paths.
+// instead, sampled as ClassifyVideoStored samples them (the GOP fan-out, or
+// one sequential decoder under DisableGOPSeek). That path is the
+// equivalence oracle: it returns exactly the same frame set, because
+// matching is defined by the same deterministic predicate and ordering in
+// both paths.
 func (s *Server) SelectVideo(ctx context.Context, v *StoredVideo, opts SelectOpts) (SelectResult, error) {
-	if v == nil || v.v == nil {
-		return SelectResult{}, fmt.Errorf("smol: nil stored video")
+	streams, infos, err := v.streams()
+	if err != nil {
+		return SelectResult{}, err
 	}
 	if opts.Class < 0 {
 		return SelectResult{}, fmt.Errorf("smol: negative selection class %d", opts.Class)
@@ -123,15 +126,7 @@ func (s *Server) SelectVideo(ctx context.Context, v *StoredVideo, opts SelectOpt
 	if opts.MinConf < 0 || opts.MinConf > 1 {
 		return SelectResult{}, fmt.Errorf("smol: selection confidence floor %g outside [0, 1]", opts.MinConf)
 	}
-	stride := opts.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	streams := v.v.Streams()
-	infos := make([]vid.Info, len(streams))
-	for i, str := range streams {
-		infos[i] = str.Info
-	}
+	stride := max(opts.Stride, 1)
 	cached := make(map[streamProxy]bool)
 	if v.st != nil {
 		for _, ref := range v.st.ScoredProxies(v.v.Name) {
@@ -195,11 +190,7 @@ func (s *Server) proxyScores(ctx context.Context, v *StoredVideo, str store.Stre
 	} else {
 		// A zoo-entry proxy scores by classifying every frame through the
 		// warm engine; the raw score is the predicted class.
-		dec, derr := vid.NewDecoder(str.Data, vid.DecodeOptions{})
-		if derr != nil {
-			return nil, nil, nil, derr
-		}
-		vres, cerr := s.classifySequential(ctx, dec, sel.proxyEnt, ServePlan{}, 1, false)
+		vres, cerr := s.classifyStream(ctx, str, sel.proxyEnt, ServePlan{}, 1, vid.DecodeOptions{}, false)
 		if cerr != nil {
 			return nil, nil, nil, cerr
 		}
@@ -364,21 +355,13 @@ func (s *Server) selectCascade(ctx context.Context, str store.Stream, ent *rtEnt
 // selectFullScan is the equivalence oracle: verify every sampled frame
 // with the chosen entry, then apply the same predicate (proxy confidence
 // floor + predicted class) and the same descending-confidence top-K the
-// cascade uses. It decodes the whole stream (or seeks sample by sample
-// when the GOP index is enabled) and invokes the full model once per
-// sampled frame, which is exactly the work the cascade avoids.
+// cascade uses. It samples the stream the way ClassifyVideoStored does
+// (the GOP fan-out, or the sequential decoder under DisableGOPSeek) and
+// invokes the full model once per sampled frame, which is exactly the work
+// the cascade avoids.
 func (s *Server) selectFullScan(ctx context.Context, str store.Stream, ent *rtEntry, decOpts vid.DecodeOptions, raw []float64, stride int, opts SelectOpts, res *SelectResult) ([]blazeit.Candidate, error) {
 	seek := !s.rt.cfg.DisableGOPSeek
-	dec, err := vid.NewDecoder(str.Data, decOpts)
-	if err != nil {
-		return nil, err
-	}
-	if seek {
-		if err := dec.SetGOPIndex(str.Index); err != nil {
-			return nil, err
-		}
-	}
-	vres, err := s.classifySequential(ctx, dec, ent, ServePlan{}, stride, seek)
+	vres, err := s.classifyStream(ctx, str, ent, ServePlan{}, stride, decOpts, seek)
 	if err != nil {
 		return nil, err
 	}

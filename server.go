@@ -25,10 +25,12 @@ import (
 // forward fails, every request with a sample in that batch fails, while
 // the server itself keeps serving later requests.
 //
-// Beyond classification, a Server answers whole-video queries over the
-// media store: ClassifyVideoStored and EstimateMeanStored sample through
-// the GOP index, and SelectVideo runs LIMIT selection queries through a
-// two-stage proxy cascade with store-level predicate pushdown.
+// Beyond classification, a Server answers whole-video queries over one
+// request path: ClassifyVideoStored and EstimateMeanStored sample through a
+// stream's GOP index, and ClassifyVideo and EstimateMean serve raw bytes as
+// an unpersisted stored video over a GOP index built per request. SelectVideo
+// runs LIMIT selection queries over the media store through a two-stage
+// proxy cascade with store-level predicate pushdown.
 //
 // Create a Server with Runtime.Serve and release it with Close.
 type Server struct {

@@ -12,6 +12,7 @@ import (
 	"smol/internal/hw"
 	"smol/internal/img"
 	"smol/internal/preproc"
+	"smol/internal/store"
 )
 
 // DeblockMode controls the in-loop deblocking filter for a video request.
@@ -158,34 +159,16 @@ type videoSelKey struct {
 	seek bool
 }
 
-// planVideo runs the video plan search: every zoo entry against every
-// stored rendition and both deblocking settings, each with its jointly
-// optimized preprocessing chain, costed by the calibrated estimators
-// (live-timed forwards, live-timed vid decode, GOP-aware decode model,
-// stride amortization) and selected under the QoS constraint. It is the
-// video counterpart of selectPlan, with two extra decode-fidelity
-// dimensions: the natively-stored resolution variant and the deblocking
-// toggle (§6.4). Decisions are memoized per input class and QoS.
-func (r *Runtime) planVideo(streams [][]byte, qos QoS, stride int, mode DeblockMode, seek bool) (*rtEntry, videoChoice, ServePlan, error) {
-	infos := make([]vid.Info, len(streams))
-	for i, s := range streams {
-		info, err := vid.Probe(s)
-		if err != nil {
-			return nil, videoChoice{}, ServePlan{}, fmt.Errorf("smol: probing video stream %d: %w", i, err)
-		}
-		if i > 0 && info.Frames != infos[0].Frames {
-			return nil, videoChoice{}, ServePlan{}, fmt.Errorf(
-				"smol: rendition %d has %d frames, primary stream has %d — variants must share the primary's timeline",
-				i, info.Frames, infos[0].Frames)
-		}
-		infos[i] = info
-	}
-	return r.planVideoInfos(infos, qos, stride, mode, seek)
-}
-
-// planVideoInfos is the plan search over already-probed stream headers —
-// the entry point for store-backed requests, whose geometry was probed once
-// at ingest.
+// planVideoInfos runs the video plan search: every zoo entry against every
+// rendition and both deblocking settings, each with its jointly optimized
+// preprocessing chain, costed by the calibrated estimators (live-timed
+// forwards, live-timed vid decode, GOP-aware decode model, stride
+// amortization) and selected under the QoS constraint. It is the video
+// counterpart of selectPlan, with two extra decode-fidelity dimensions: the
+// natively-stored resolution variant and the deblocking toggle (§6.4). It
+// plans over stream headers probed once — at ingest for a stored video, at
+// indexing for a raw request — and memoizes decisions per input class and
+// QoS.
 func (r *Runtime) planVideoInfos(infos []vid.Info, qos QoS, stride int, mode DeblockMode, seek bool) (*rtEntry, videoChoice, ServePlan, error) {
 	if stride < 1 {
 		stride = 1
@@ -293,24 +276,18 @@ func (r *Runtime) videoPlan(ent *rtEntry, stream int, info vid.Info, deblock boo
 	}, nil
 }
 
-// videoSource streams a video request into the engine: it owns the
-// resident decoder, decodes frames in stream order (P-frames need their
-// references), skips unsampled frames without converting them to RGB, and
-// submits one job per sampled frame. Submission backpressure (the engine's
-// bounded queues) paces the decode, and frame buffers recycle through the
-// request's pool once a prep worker consumes them, so a long stream runs
-// in bounded memory.
+// videoSource is the sequential sampling oracle: one resident decoder
+// walks the stream in order (P-frames need their references), skips
+// unsampled frames without converting them to RGB, and submits one job per
+// sampled frame. Submission backpressure (the engine's bounded queues) paces
+// the decode, and frame buffers recycle through the request's pool once a
+// prep worker consumes them, so a long stream runs in bounded memory.
 type videoSource struct {
 	ctx    context.Context
 	dec    *vid.Decoder
 	cr     *classifyReq
 	stride int
 	class  int
-	// seek routes skipped spans through SeekFrame instead of per-frame
-	// Skip: whole GOPs between samples are bypassed via the GOP index
-	// (never entered, not even for motion compensation) and only the
-	// intra-GOP prefix of each sample is reconstructed.
-	seek   bool
 	frame  int // next stream frame to decode
 	sample int // next sample slot to fill
 }
@@ -327,13 +304,7 @@ func (s *videoSource) Next() (engine.Job, bool, error) {
 		if s.sample >= len(s.cr.preds) {
 			return engine.Job{}, false, nil
 		}
-		if s.seek {
-			target := s.sample * s.stride
-			if err := s.dec.SeekFrame(target); err != nil {
-				return engine.Job{}, false, err
-			}
-			s.frame = target
-		} else if s.frame%s.stride != 0 {
+		if s.frame%s.stride != 0 {
 			if err := s.dec.Skip(); err != nil {
 				return engine.Job{}, false, err
 			}
@@ -360,44 +331,39 @@ func (s *videoSource) Next() (engine.Job, bool, error) {
 
 // ClassifyVideo streams a video's sampled frames through the shared warm
 // engine and blocks until every prediction is ready, ctx is cancelled, or a
-// stage fails. The request holds one resident decoder (sequential I/P
-// decode with recycled reference frames); sampled frames flow through the
-// same per-class tensor pools, batch streams, and compiled forwards as
-// still-image traffic, and may share accelerator batches with concurrent
-// still-image requests routed to the same zoo entry.
+// stage fails. The stream and opts.Variants are indexed per request (one
+// header probe and record-header scan each, no payload decode) into an
+// unpersisted StoredVideo, which is then served exactly as
+// ClassifyVideoStored serves an ingested one: the same plan search, the same
+// GOP fan-out, and the same sequential oracle under DisableGOPSeek. Sampled
+// frames flow through the same per-class tensor pools, batch streams, and
+// compiled forwards as still-image traffic, and may share accelerator
+// batches with concurrent still-image requests routed to the same zoo entry.
 func (s *Server) ClassifyVideo(ctx context.Context, stream []byte, opts VideoOpts) (VideoResult, error) {
-	stride := opts.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	streams := append([][]byte{stream}, opts.Variants...)
-	seek := !s.rt.cfg.DisableGOPSeek
-	ent, choice, plan, err := s.rt.planVideo(streams, opts.QoS, stride, opts.Deblock, seek)
+	v, err := requestVideo(stream, opts.Variants)
 	if err != nil {
 		return VideoResult{}, err
 	}
-	dec, err := vid.NewDecoder(streams[choice.stream], vid.DecodeOptions{DisableDeblock: !choice.deblock})
-	if err != nil {
-		return VideoResult{}, err
-	}
-	return s.classifySequential(ctx, dec, ent, plan, stride, seek)
+	return s.ClassifyVideoStored(ctx, v, opts)
 }
 
-// classifySequential runs one resident decoder through the warm engine —
-// the serving core shared by raw-stream requests and the store-backed
-// single-decoder fallback. With seek set the source jumps straight to each
-// sample's containing GOP via the decoder's GOP index; otherwise it skips
-// frame by frame (the sequential equivalence oracle).
-func (s *Server) classifySequential(ctx context.Context, dec *vid.Decoder, ent *rtEntry, plan ServePlan, stride int, seek bool) (VideoResult, error) {
-	n := (dec.NumFrames() + stride - 1) / stride
+// classifyStream samples every stride-th frame of one stream through the
+// warm engine. With seek set the sampled GOPs fan out across resident
+// decoders (classifyParallelGOP); otherwise one decoder walks the stream
+// front to back (classifySequential), the equivalence oracle of the fan-out.
+func (s *Server) classifyStream(ctx context.Context, str store.Stream, ent *rtEntry, plan ServePlan, stride int, decOpts vid.DecodeOptions, seek bool) (VideoResult, error) {
+	n := (str.Info.Frames + stride - 1) / stride
 	cr := &classifyReq{
 		frames:    make([]*img.Image, n),
 		framePool: &sync.Pool{},
 		preds:     make([]int, n),
 		entry:     ent,
 	}
-	src := &videoSource{ctx: ctx, dec: dec, cr: cr, stride: stride, class: ent.class, seek: seek}
-	stats, err := s.pipe.Process(ctx, src)
+	run := s.classifySequential
+	if seek {
+		run = s.classifyParallelGOP
+	}
+	stats, dstats, err := run(ctx, cr, str, stride, decOpts)
 	if err != nil {
 		return VideoResult{}, err
 	}
@@ -410,8 +376,19 @@ func (s *Server) classifySequential(ctx context.Context, dec *vid.Decoder, ent *
 		Predictions:  cr.preds,
 		Plan:         plan,
 		Stats:        stats,
-		Decode:       dec.Stats(),
+		Decode:       dstats,
 	}, nil
+}
+
+// classifySequential fills cr's sample slots from one resident decoder
+// that decodes every frame up to the last sample.
+func (s *Server) classifySequential(ctx context.Context, cr *classifyReq, str store.Stream, stride int, decOpts vid.DecodeOptions) (engine.Stats, vid.DecodeStats, error) {
+	dec, err := vid.NewDecoder(str.Data, decOpts)
+	if err != nil {
+		return engine.Stats{}, vid.DecodeStats{}, err
+	}
+	stats, err := s.pipe.Process(ctx, &videoSource{ctx: ctx, dec: dec, cr: cr, stride: stride, class: cr.entry.class})
+	return stats, dec.Stats(), err
 }
 
 // classifyFrame runs one already-decoded frame through the warm pipeline
@@ -438,35 +415,27 @@ func (s *Server) classifyFrame(ctx context.Context, ent *rtEntry, m *img.Image) 
 // predicted class. The returned TargetInvocations is the query's cost
 // driver: the better the specialized model tracks the target, the fewer
 // samples the confidence interval needs (§8.4).
+//
+// The stream and opts.Variants are indexed per request into an unpersisted
+// StoredVideo and answered by EstimateMeanStored, so raw and stored queries
+// share one plan, one retention policy, and one GOP-indexed re-decode path.
 func (s *Server) EstimateMean(ctx context.Context, stream []byte, opts AggregateOpts) (AggregateResult, error) {
-	if opts.ErrTarget <= 0 {
-		return AggregateResult{}, fmt.Errorf("smol: aggregation error target must be positive")
-	}
-	streams := append([][]byte{stream}, opts.Variants...)
-	seek := !s.rt.cfg.DisableGOPSeek
-	ent, choice, plan, err := s.rt.planVideo(streams, opts.QoS, 1, opts.Deblock, seek)
+	v, err := requestVideo(stream, opts.Variants)
 	if err != nil {
 		return AggregateResult{}, err
 	}
-	decOpts := vid.DecodeOptions{DisableDeblock: !choice.deblock}
-	// Raw []byte streams have no persisted index; the seeker builds one
-	// lazily on first seek. Frames may still be retained up to the budget —
-	// only store-backed queries drop retention entirely.
-	return s.estimateMeanStream(ctx, streams[choice.stream], nil, decOpts, ent, plan, opts, seek, true, nil)
+	return s.EstimateMeanStored(ctx, v, opts)
 }
 
-// estimateMeanStream is the aggregation core shared by raw-stream and
-// store-backed queries. index, when non-nil, is a persisted GOP index
-// injected into every decoder the query opens. retainOK gates the
-// decoded-RGB retention budget: store-backed queries pass false (satellite
-// of the GOP-seek work — random access via the index is cheap, so holding
-// the whole clip resident buys nothing and costs aggRetainBytes of memory).
-// cachedSpec, when non-nil, is the specialized model's per-frame prediction
-// from a persisted proxy score table; the cheap decode-everything pass is
-// skipped entirely and the query's decode work is the sampled target pass
-// alone (the scores are only passed in when they are bit-identical to what
-// the pass would compute: the blob proxy at the chosen stream's fidelity).
-func (s *Server) estimateMeanStream(ctx context.Context, data []byte, index []vid.GOPEntry, decOpts vid.DecodeOptions, ent *rtEntry, plan ServePlan, opts AggregateOpts, seek, retainOK bool, cachedSpec []float64) (AggregateResult, error) {
+// estimateMeanStream is the aggregation core behind EstimateMeanStored (and
+// so EstimateMean). Every decoder it opens is armed with the stream's GOP
+// index. cachedSpec, when non-nil, is the specialized model's per-frame
+// prediction from a persisted proxy score table; the cheap
+// decode-everything pass is skipped entirely and the query's decode work is
+// the sampled target pass alone (the scores are only passed in when they
+// are bit-identical to what the pass would compute: the blob proxy at the
+// chosen stream's fidelity).
+func (s *Server) estimateMeanStream(ctx context.Context, str store.Stream, decOpts vid.DecodeOptions, ent *rtEntry, plan ServePlan, opts AggregateOpts, seek bool, cachedSpec []float64) (AggregateResult, error) {
 	var specPreds []float64
 	var frames []*img.Image
 	var dstats vid.DecodeStats
@@ -474,19 +443,20 @@ func (s *Server) estimateMeanStream(ctx context.Context, data []byte, index []vi
 	if cachedSpec != nil {
 		specPreds = cachedSpec
 	} else {
-		dec, err := vid.NewDecoder(data, decOpts)
+		dec, err := vid.NewDecoder(str.Data, decOpts)
 		if err != nil {
 			return AggregateResult{}, err
 		}
 		// The cheap full pass: decode every frame once and run the
 		// specialized model. Streams whose decoded frames fit the retention
-		// budget keep them resident for the sampled target invocations;
-		// past it the pass recycles one output image and the oracle
-		// re-decodes on demand instead, keeping memory bounded regardless
-		// of stream length or frame size (with GOP seek the re-decode is
-		// O(GOP) per sample, without it a sequential re-decode is the
-		// honest random-access cost).
-		retain = retainOK && dec.NumFrames()*dec.Width()*dec.Height()*3 <= aggRetainBytes
+		// budget keep them resident for the sampled target invocations —
+		// cheaper than even a GOP-indexed re-decode, which pays each
+		// sample's intra-GOP prefix; past it the pass recycles one output
+		// image and the oracle re-decodes on demand instead, keeping memory
+		// bounded regardless of stream length or frame size (with GOP seek
+		// the re-decode is O(GOP) per sample, without it a sequential
+		// re-decode is the honest random-access cost).
+		retain = dec.NumFrames()*dec.Width()*dec.Height()*3 <= aggRetainBytes
 		if retain {
 			frames = make([]*img.Image, 0, dec.NumFrames())
 		}
@@ -518,7 +488,7 @@ func (s *Server) estimateMeanStream(ctx context.Context, data []byte, index []vi
 	if len(specPreds) == 0 {
 		return AggregateResult{}, fmt.Errorf("smol: video stream has no frames")
 	}
-	seeker := &frameSeeker{data: data, opts: decOpts, index: index, seek: seek}
+	seeker := &frameSeeker{str: str, opts: decOpts, seek: seek}
 	// The expensive sampled pass: the chosen zoo entry through the warm
 	// engine. blazeit's Oracle interface cannot fail, so the first error
 	// latches and short-circuits the remaining invocations.
@@ -567,29 +537,27 @@ func (s *Server) estimateMeanStream(ctx context.Context, data []byte, index []vi
 	}, nil
 }
 
-// aggRetainBytes bounds the decoded RGB bytes EstimateMean keeps resident
-// for its sampled pass (~40 frames of 1080p at ~6.2MB each); larger
-// streams re-decode sampled frames sequentially instead. A var so tests
-// can force the re-decode path on short clips.
+// aggRetainBytes bounds the decoded RGB bytes an aggregation query keeps
+// resident for its sampled pass (~40 frames of 1080p at ~6.2MB each);
+// larger streams re-decode sampled frames instead. A var so tests can force
+// the re-decode path on short clips.
 var aggRetainBytes = 256 << 20
 
 // frameSeeker provides random access to a video stream for the sampled
 // target pass. With seek set, one resident decoder jumps to each request
-// through its GOP index (injected from a store sidecar, or lazily scanned
-// on first use) — backward requests included, so the decoder is never
-// rebuilt. Without it, requests at or past the current position decode
+// through the stream's GOP index — backward requests included, so the
+// decoder is never rebuilt. Without it, requests at or past the current position decode
 // forward (Skip elides RGB conversion for the frames in between) and
 // requests behind it restart the decoder. One output image is recycled —
 // the caller consumes each frame synchronously before asking for the next.
 type frameSeeker struct {
-	data  []byte
-	opts  vid.DecodeOptions
-	index []vid.GOPEntry
-	seek  bool
-	dec   *vid.Decoder
-	pos   int // index of the next frame the decoder will produce
-	dst   *img.Image
-	acc   vid.DecodeStats // work of decoders already discarded by restarts
+	str  store.Stream
+	opts vid.DecodeOptions
+	seek bool
+	dec  *vid.Decoder
+	pos  int // index of the next frame the decoder will produce
+	dst  *img.Image
+	acc  vid.DecodeStats // work of decoders already discarded by restarts
 }
 
 func (s *frameSeeker) frameAt(ctx context.Context, f int) (*img.Image, error) {
@@ -597,14 +565,12 @@ func (s *frameSeeker) frameAt(ctx context.Context, f int) (*img.Image, error) {
 		if s.dec != nil {
 			s.acc.Add(s.dec.Stats())
 		}
-		dec, err := vid.NewDecoder(s.data, s.opts)
+		dec, err := vid.NewDecoder(s.str.Data, s.opts)
 		if err != nil {
 			return nil, err
 		}
-		if s.index != nil {
-			if err := dec.SetGOPIndex(s.index); err != nil {
-				return nil, err
-			}
+		if err := dec.SetGOPIndex(s.str.Index); err != nil {
+			return nil, err
 		}
 		s.dec, s.pos = dec, 0
 	}

@@ -2,9 +2,13 @@ package smol
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"smol/internal/analysis/alloctest"
 	"smol/internal/codec/vid"
@@ -75,9 +79,10 @@ func TestClassifyVideoStoredMatchesSequential(t *testing.T) {
 				}
 			}
 			// Every sample costs at most its intra-GOP prefix; nothing
-			// outside the sampled GOPs is ever decoded.
+			// outside the sampled GOPs is ever decoded, and the frames no
+			// worker decoded are exactly the request's bypass.
 			span := (len(seq.Predictions)-1)*stride + 1
-			if got := par.Decode.FramesDecoded + par.Decode.FramesBypassed; got < len(par.Predictions) || par.Decode.FramesDecoded > span {
+			if got := par.Decode.FramesDecoded + par.Decode.FramesBypassed; got != span || par.Decode.FramesDecoded > span {
 				t.Fatalf("stride %d workers %d: decoded %d bypassed %d over a %d-frame span",
 					stride, workers, par.Decode.FramesDecoded, par.Decode.FramesBypassed, span)
 			}
@@ -171,10 +176,123 @@ func TestClassifyVideoStoredConcurrent(t *testing.T) {
 	}
 }
 
-// TestEstimateMeanStoredMatchesRaw: the store-backed aggregation must give
-// the exact same estimate as the raw-stream query over the primary stream —
-// and it must do so without retaining decoded frames, seeking each sampled
-// frame through the persisted index instead.
+// TestClassifyVideoStoredCancel: cancelling a fan-out request, before it
+// starts or while its workers decode, must return the context's error
+// without hanging on a worker or the feeder, and leave the server serving.
+func TestClassifyVideoStoredCancel(t *testing.T) {
+	clf, _ := trainTinyClassifier(t)
+	frames, _ := renderClassVideo(t, 60, 48)
+	enc := encodeClassVideo(t, frames, 85, 4)
+	_, v := openTestStore(t, enc, IngestOptions{})
+	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2, VideoDecodeWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := rt.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	opts := VideoOpts{Stride: 1, Deblock: DeblockOn}
+	want, err := srv.ClassifyVideoStored(context.Background(), v, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delay := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond, 5 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if delay == 0 {
+			cancel()
+		} else {
+			time.AfterFunc(delay, cancel)
+		}
+		_, err := srv.ClassifyVideoStored(ctx, v, opts)
+		cancel()
+		if delay == 0 && !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled request returned %v", err)
+		}
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("request cancelled after %v returned %v", delay, err)
+		}
+	}
+	got, err := srv.ClassifyVideoStored(context.Background(), v, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Predictions, want.Predictions) {
+		t.Fatal("predictions changed after cancelled requests")
+	}
+}
+
+// TestClassifyVideoRawMatchesStored: raw bytes are served as an unpersisted
+// stored video over a per-request GOP index, so a raw request and the same
+// bytes after IngestVideo must agree on everything the result reports —
+// predictions, frame indices, plan and decoder work — with and without a
+// low-resolution rendition, on both sides of DisableGOPSeek, and with a
+// multi-worker fan-out, whose Decode counters are per request, not per
+// worker schedule.
+func TestClassifyVideoRawMatchesStored(t *testing.T) {
+	clf, _ := trainTinyClassifier(t)
+	frames, _ := renderClassVideo(t, 41, 96)
+	const gop = 6
+	enc := encodeClassVideo(t, frames, 85, gop)
+	_, plain := openTestStore(t, enc, IngestOptions{})
+	_, withLow := openTestStore(t, enc, IngestOptions{RenditionShortEdges: []int{48}})
+	// The raw request carries the ingested rendition's bytes as its variant.
+	low := withLow.v.Renditions[0].Data
+	ctx := context.Background()
+
+	for _, disable := range []bool{false, true} {
+		rt, err := NewRuntime(clf.Model, RuntimeConfig{
+			InputRes: 16, BatchSize: 8, Workers: 2,
+			DisableGOPSeek: disable, VideoDecodeWorkers: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := rt.Serve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name     string
+			v        *StoredVideo
+			variants [][]byte
+		}{{"primary", plain, nil}, {"rendition", withLow, [][]byte{low}}} {
+			for _, stride := range []int{1, 4, gop, 13} {
+				stored, err := srv.ClassifyVideoStored(ctx, c.v, VideoOpts{Stride: stride})
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Stride: stride, Variants: c.variants})
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("DisableGOPSeek=%v %s stride %d", disable, c.name, stride)
+				if !reflect.DeepEqual(raw.Predictions, stored.Predictions) || !reflect.DeepEqual(raw.FrameIndices, stored.FrameIndices) {
+					t.Fatalf("%s: raw predicted %v at %v, stored %v at %v",
+						where, raw.Predictions, raw.FrameIndices, stored.Predictions, stored.FrameIndices)
+				}
+				if raw.Plan != stored.Plan {
+					t.Fatalf("%s: raw plan %+v, stored plan %+v", where, raw.Plan, stored.Plan)
+				}
+				if c.variants != nil && raw.Plan.Stream != 1 {
+					t.Fatalf("%s: relaxed-floor plan served stream %d, want the 48px rendition (1)", where, raw.Plan.Stream)
+				}
+				if raw.Decode != stored.Decode {
+					t.Fatalf("%s: raw decode %+v, stored decode %+v", where, raw.Decode, stored.Decode)
+				}
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestEstimateMeanStoredMatchesRaw: raw bytes are aggregated as an
+// unpersisted stored video, so the raw and store-backed queries share one
+// retention policy and must agree on the estimate and on the decode work —
+// both under the default budget, which retains this short clip, and under a
+// budget forced below it, where both seek every sampled frame through the
+// GOP index.
 func TestEstimateMeanStoredMatchesRaw(t *testing.T) {
 	clf, _ := trainTinyClassifier(t)
 	frames, _ := renderClassVideo(t, 48, 48)
@@ -191,28 +309,40 @@ func TestEstimateMeanStoredMatchesRaw(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 
-	raw, err := srv.EstimateMean(ctx, enc, AggregateOpts{ErrTarget: 1e-9, Deblock: DeblockOn, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	query := func(budget string) (raw, stored AggregateResult) {
+		t.Helper()
+		opts := AggregateOpts{ErrTarget: 1e-9, Deblock: DeblockOn, Seed: 7}
+		raw, err := srv.EstimateMean(ctx, enc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err = srv.EstimateMeanStored(ctx, v, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(stored.Estimate-raw.Estimate) > 1e-12 || stored.TargetInvocations != raw.TargetInvocations {
+			t.Fatalf("%s budget: stored query answered %.6f (%d invocations), raw %.6f (%d)",
+				budget, stored.Estimate, stored.TargetInvocations, raw.Estimate, raw.TargetInvocations)
+		}
+		if stored.Decode != raw.Decode {
+			t.Fatalf("%s budget: stored decode %+v, raw %+v", budget, stored.Decode, raw.Decode)
+		}
+		return raw, stored
 	}
-	stored, err := srv.EstimateMeanStored(ctx, v, AggregateOpts{ErrTarget: 1e-9, Deblock: DeblockOn, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	retained, _ := query("default")
+	if retained.Decode.GOPSeeks != 0 || retained.Decode.FramesDecoded != len(frames) {
+		t.Fatalf("default budget: decoded %d frames with %d seeks, want one pass of %d retained frames",
+			retained.Decode.FramesDecoded, retained.Decode.GOPSeeks, len(frames))
 	}
-	if math.Abs(stored.Estimate-raw.Estimate) > 1e-12 || stored.TargetInvocations != raw.TargetInvocations {
-		t.Fatalf("stored query answered %.6f (%d invocations), raw %.6f (%d)",
-			stored.Estimate, stored.TargetInvocations, raw.Estimate, raw.TargetInvocations)
+
+	defer func(n int) { aggRetainBytes = n }(aggRetainBytes)
+	aggRetainBytes = 8 * 48 * 48 * 3
+	raw, stored := query("forced-small")
+	if raw.Decode.GOPSeeks == 0 || stored.Decode.GOPSeeks == 0 {
+		t.Fatalf("re-decode path never used the GOP index (raw %d seeks, stored %d)", raw.Decode.GOPSeeks, stored.Decode.GOPSeeks)
 	}
-	// The raw exhaustive query retained the whole short clip and decoded it
-	// once; the stored query re-decodes each sample via the index, so its
-	// decode counter must exceed one full pass yet never replay the prefix
-	// (every re-decode is bounded by one GOP).
-	if stored.Decode.FramesDecoded <= raw.Decode.FramesDecoded {
-		t.Fatalf("stored query decoded %d frames, raw retained path %d — retention not dropped?",
-			stored.Decode.FramesDecoded, raw.Decode.FramesDecoded)
-	}
-	if stored.Decode.GOPSeeks == 0 {
-		t.Fatal("stored sampled pass never used the GOP index")
+	if raw.Estimate != retained.Estimate {
+		t.Fatalf("re-decode path answered %.6f, retained path %.6f", raw.Estimate, retained.Estimate)
 	}
 	if _, err := srv.EstimateMeanStored(ctx, v, AggregateOpts{}); err == nil {
 		t.Fatal("zero error target should error")

@@ -105,16 +105,21 @@ func TestClassifyVideoMatchesOfflineDecode(t *testing.T) {
 // GOP-seek serving path (default) and the sequential full-decode path
 // (DisableGOPSeek, the equivalence oracle) must emit bit-identical
 // predictions while the seek path decodes strictly fewer frames whenever a
-// stride jumps over whole GOPs.
+// stride jumps over whole GOPs. With one decode worker or three, the seek
+// path's decoded + bypassed frames tile the sampled span exactly: the
+// fan-out reports the request's bypass, not each worker's.
 func TestClassifyVideoSeekMatchesSequential(t *testing.T) {
 	clf, _ := trainTinyClassifier(t)
 	frames, _ := renderClassVideo(t, 47, 48)
 	enc := encodeClassVideo(t, frames, 85, 5)
 	ctx := context.Background()
 
-	run := func(disable bool, stride int) VideoResult {
+	run := func(disable bool, workers, stride int) VideoResult {
 		t.Helper()
-		rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2, DisableGOPSeek: disable})
+		rt, err := NewRuntime(clf.Model, RuntimeConfig{
+			InputRes: 16, BatchSize: 8, Workers: 2,
+			DisableGOPSeek: disable, VideoDecodeWorkers: workers,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,30 +136,33 @@ func TestClassifyVideoSeekMatchesSequential(t *testing.T) {
 	}
 
 	for _, stride := range []int{1, 3, 5, 11, 20} {
-		seek := run(false, stride)
-		seq := run(true, stride)
-		if len(seek.Predictions) != len(seq.Predictions) {
-			t.Fatalf("stride %d: %d seek predictions vs %d sequential", stride, len(seek.Predictions), len(seq.Predictions))
-		}
-		for i := range seek.Predictions {
-			if seek.Predictions[i] != seq.Predictions[i] {
-				t.Fatalf("stride %d sample %d: seek predicted %d, sequential %d",
-					stride, i, seek.Predictions[i], seq.Predictions[i])
-			}
-		}
+		seq := run(true, 1, stride)
 		span := (len(seq.Predictions)-1)*stride + 1
 		if seq.Decode.FramesDecoded != span || seq.Decode.FramesBypassed != 0 {
 			t.Fatalf("stride %d: sequential path decoded %d (bypassed %d), want %d (0)",
 				stride, seq.Decode.FramesDecoded, seq.Decode.FramesBypassed, span)
 		}
-		if got := seek.Decode.FramesDecoded + seek.Decode.FramesBypassed; got != span {
-			t.Fatalf("stride %d: seek path decoded %d + bypassed %d != span %d",
-				stride, seek.Decode.FramesDecoded, seek.Decode.FramesBypassed, span)
-		}
-		if stride > 5 && seek.Decode.FramesDecoded >= seq.Decode.FramesDecoded {
-			// Strides beyond the GOP interval must jump over whole groups.
-			t.Fatalf("stride %d: seek path decoded %d frames, sequential %d — no savings",
-				stride, seek.Decode.FramesDecoded, seq.Decode.FramesDecoded)
+		for _, workers := range []int{1, 3} {
+			seek := run(false, workers, stride)
+			if len(seek.Predictions) != len(seq.Predictions) {
+				t.Fatalf("stride %d workers %d: %d seek predictions vs %d sequential",
+					stride, workers, len(seek.Predictions), len(seq.Predictions))
+			}
+			for i := range seek.Predictions {
+				if seek.Predictions[i] != seq.Predictions[i] {
+					t.Fatalf("stride %d workers %d sample %d: seek predicted %d, sequential %d",
+						stride, workers, i, seek.Predictions[i], seq.Predictions[i])
+				}
+			}
+			if got := seek.Decode.FramesDecoded + seek.Decode.FramesBypassed; got != span {
+				t.Fatalf("stride %d workers %d: seek path decoded %d + bypassed %d != span %d",
+					stride, workers, seek.Decode.FramesDecoded, seek.Decode.FramesBypassed, span)
+			}
+			if stride > 5 && seek.Decode.FramesDecoded >= seq.Decode.FramesDecoded {
+				// Strides beyond the GOP interval must jump over whole groups.
+				t.Fatalf("stride %d workers %d: seek path decoded %d frames, sequential %d — no savings",
+					stride, workers, seek.Decode.FramesDecoded, seq.Decode.FramesDecoded)
+			}
 		}
 	}
 }

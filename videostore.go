@@ -91,6 +91,45 @@ func (v *StoredVideo) Name() string { return v.v.Name }
 // Info returns the primary stream's probed geometry.
 func (v *StoredVideo) Info() VideoInfo { return v.v.Primary.Info }
 
+// requestVideo indexes a raw request stream and its variants into an
+// in-memory StoredVideo with no owning store (st == nil) — the ephemeral
+// index that lets raw bytes take the stored path. Nothing is persisted, and
+// no proxy score table is read or written.
+func requestVideo(stream []byte, variants [][]byte) (*StoredVideo, error) {
+	v := &store.Video{}
+	for i, data := range append([][]byte{stream}, variants...) {
+		str, err := store.IndexStream(data)
+		if err != nil {
+			return nil, fmt.Errorf("smol: indexing video stream %d: %w", i, err)
+		}
+		if i == 0 {
+			v.Primary = str
+			continue
+		}
+		if str.Info.Frames != v.Primary.Info.Frames {
+			return nil, fmt.Errorf(
+				"smol: rendition %d has %d frames, primary stream has %d — variants must share the primary's timeline",
+				i, str.Info.Frames, v.Primary.Info.Frames)
+		}
+		v.Renditions = append(v.Renditions, str)
+	}
+	return &StoredVideo{v: v}, nil
+}
+
+// streams returns the video's streams in ServePlan.Stream order together
+// with their probed headers, the planner's input.
+func (v *StoredVideo) streams() ([]store.Stream, []vid.Info, error) {
+	if v == nil || v.v == nil {
+		return nil, nil, fmt.Errorf("smol: nil stored video")
+	}
+	streams := v.v.Streams()
+	infos := make([]vid.Info, len(streams))
+	for i, str := range streams {
+		infos[i] = str.Info
+	}
+	return streams, infos, nil
+}
+
 // Renditions returns the geometry of each materialized low-resolution
 // rendition, in ServePlan.Stream order (Stream n > 0 = Renditions()[n-1]).
 func (v *StoredVideo) Renditions() []VideoInfo {
@@ -105,69 +144,50 @@ func (v *StoredVideo) Renditions() []VideoInfo {
 // media store. The planner chooses jointly across the zoo and the video's
 // ingested renditions (opts.Variants is ignored — a stored video's
 // renditions ARE its variants); the chosen stream is then sampled through
-// its persisted GOP index: the request plans its sample positions up
-// front, groups them by containing GOP, and fans disjoint GOPs across a
-// bounded pool of resident decoders (RuntimeConfig.VideoDecodeWorkers).
-// Each GOP is an independent decode unit, so the workers reconstruct
-// bit-identically to a sequential decode, and the frames still enter the
-// shared warm engine in frame order. With RuntimeConfig.DisableGOPSeek the
-// request falls back to the single-decoder sequential path over the same
-// chosen stream — the equivalence oracle for this fan-out.
+// its GOP index: the request plans its sample positions up front, groups
+// them by containing GOP, and fans disjoint GOPs across a bounded pool of
+// resident decoders (RuntimeConfig.VideoDecodeWorkers). Each GOP is an
+// independent decode unit, so the workers reconstruct bit-identically to a
+// sequential decode, and the frames still enter the shared warm engine in
+// frame order. With RuntimeConfig.DisableGOPSeek the request falls back to
+// the single-decoder sequential path over the same chosen stream — the
+// equivalence oracle for this fan-out. ClassifyVideo serves raw bytes
+// through this same path.
 func (s *Server) ClassifyVideoStored(ctx context.Context, v *StoredVideo, opts VideoOpts) (VideoResult, error) {
-	if v == nil || v.v == nil {
-		return VideoResult{}, fmt.Errorf("smol: nil stored video")
+	streams, infos, err := v.streams()
+	if err != nil {
+		return VideoResult{}, err
 	}
-	stride := opts.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	streams := v.v.Streams()
-	infos := make([]vid.Info, len(streams))
-	for i, str := range streams {
-		infos[i] = str.Info
-	}
+	stride := max(opts.Stride, 1)
 	seek := !s.rt.cfg.DisableGOPSeek
 	ent, choice, plan, err := s.rt.planVideoInfos(infos, opts.QoS, stride, opts.Deblock, seek)
 	if err != nil {
 		return VideoResult{}, err
 	}
-	chosen := streams[choice.stream]
 	decOpts := vid.DecodeOptions{DisableDeblock: !choice.deblock}
-	if !seek {
-		dec, err := vid.NewDecoder(chosen.Data, decOpts)
-		if err != nil {
-			return VideoResult{}, err
-		}
-		return s.classifySequential(ctx, dec, ent, plan, stride, false)
-	}
-	return s.classifyParallelGOP(ctx, chosen, ent, plan, stride, decOpts)
+	return s.classifyStream(ctx, streams[choice.stream], ent, plan, stride, decOpts, seek)
 }
 
-// EstimateMeanStored answers an aggregation query from the media store.
-// It is EstimateMean with the store's levers applied: the planner chooses
-// among the ingested renditions (opts.Variants is ignored), every decoder
-// the query opens is armed with the persisted GOP index, and the sampled
-// target pass never retains decoded frames — random access through the
-// index costs one GOP prefix per sample, so holding the whole clip
-// resident (EstimateMean's aggRetainBytes budget) buys nothing.
+// EstimateMeanStored answers an EstimateMean aggregation query over a
+// stored video: the planner chooses among its renditions (opts.Variants is
+// ignored), and a persisted blob score table for the chosen stream replaces
+// the cheap full pass. Decoded frames are retained for the sampled target
+// pass while they fit the aggregation retention budget; past it each
+// sampled frame is re-decoded through the GOP index at the cost of its
+// intra-GOP prefix. EstimateMean answers raw bytes through this same path.
 func (s *Server) EstimateMeanStored(ctx context.Context, v *StoredVideo, opts AggregateOpts) (AggregateResult, error) {
-	if v == nil || v.v == nil {
-		return AggregateResult{}, fmt.Errorf("smol: nil stored video")
+	streams, infos, err := v.streams()
+	if err != nil {
+		return AggregateResult{}, err
 	}
 	if opts.ErrTarget <= 0 {
 		return AggregateResult{}, fmt.Errorf("smol: aggregation error target must be positive")
-	}
-	streams := v.v.Streams()
-	infos := make([]vid.Info, len(streams))
-	for i, str := range streams {
-		infos[i] = str.Info
 	}
 	seek := !s.rt.cfg.DisableGOPSeek
 	ent, choice, plan, err := s.rt.planVideoInfos(infos, opts.QoS, 1, opts.Deblock, seek)
 	if err != nil {
 		return AggregateResult{}, err
 	}
-	chosen := streams[choice.stream]
 	decOpts := vid.DecodeOptions{DisableDeblock: !choice.deblock}
 	// A persisted blob score table for the chosen stream replaces the cheap
 	// full pass outright: the persisted raw scores are bit-identical to
@@ -181,7 +201,7 @@ func (s *Server) EstimateMeanStored(ctx context.Context, v *StoredVideo, opts Ag
 			cachedSpec = t.Frames
 		}
 	}
-	return s.estimateMeanStream(ctx, chosen.Data, chosen.Index, decOpts, ent, plan, opts, seek, false, cachedSpec)
+	return s.estimateMeanStream(ctx, streams[choice.stream], decOpts, ent, plan, opts, seek, cachedSpec)
 }
 
 // gopTask is one unit of decode fan-out: the consecutive sampled frames
@@ -190,6 +210,7 @@ func (s *Server) EstimateMeanStored(ctx context.Context, v *StoredVideo, opts Ag
 // recorded err), which is the happens-before edge the consumer relies on
 // to read cr.frames race-free.
 type gopTask struct {
+	gop       int   // index entry of the GOP
 	frames    []int // sampled frame indices, ascending, within one GOP
 	firstSlot int   // request slot of frames[0]
 	done      chan struct{}
@@ -198,8 +219,8 @@ type gopTask struct {
 
 // gopTasks plans a request's sample positions (every stride-th frame) and
 // groups them by containing GOP — the unit two decoders can work on
-// independently. index must cover frames [0, nFrames) contiguously (the
-// store guarantees this at ingest).
+// independently. index must cover frames [0, nFrames) contiguously
+// (store.IndexStream guarantees this for ingested and request streams alike).
 func gopTasks(index []vid.GOPEntry, nFrames, stride int) []*gopTask {
 	var tasks []*gopTask
 	g, slot, curGOP := 0, 0, -1
@@ -208,7 +229,7 @@ func gopTasks(index []vid.GOPEntry, nFrames, stride int) []*gopTask {
 			g++
 		}
 		if g != curGOP {
-			tasks = append(tasks, &gopTask{firstSlot: slot, done: make(chan struct{})})
+			tasks = append(tasks, &gopTask{gop: g, firstSlot: slot, done: make(chan struct{})})
 			curGOP = g
 		}
 		t := tasks[len(tasks)-1]
@@ -219,9 +240,8 @@ func gopTasks(index []vid.GOPEntry, nFrames, stride int) []*gopTask {
 }
 
 // gopWorker is one resident decoder of the fan-out pool. Its decoder is
-// armed with the stream's persisted GOP index, so every task starts with a
-// direct seek — no worker ever decodes a frame outside the GOPs it is
-// assigned.
+// armed with the stream's GOP index, so every task starts with a direct
+// seek — no worker ever decodes a frame outside the GOPs it is assigned.
 type gopWorker struct {
 	dec *vid.Decoder
 	cr  *classifyReq
@@ -231,11 +251,17 @@ type gopWorker struct {
 // pooled image, publishing it in the task's request slots. Ownership of
 // each image transfers to the request (the prep worker recycles it into
 // framePool after preprocessing), and a warm worker allocates nothing —
-// frames and decoder state all recycle.
+// frames and decoder state all recycle. The task always enters its GOP by
+// a seek, even when the worker's last task ended where this GOP begins, so
+// the request's GOPSeeks counts its sampled GOPs whichever worker took
+// which.
 //
 //smol:owns
 //smol:noalloc
 func (w *gopWorker) decodeTask(t *gopTask) error {
+	if err := w.dec.SeekGOP(t.gop); err != nil {
+		return err
+	}
 	for i, f := range t.frames {
 		if err := w.dec.SeekFrame(f); err != nil {
 			return err
@@ -294,35 +320,23 @@ func (s *orderedGOPSource) Next() (engine.Job, bool, error) {
 	return engine.Job{Index: i, Tag: s.cr, Class: s.class}, true, nil
 }
 
-// classifyParallelGOP is the store-backed sampling core: plan the sample
+// classifyParallelGOP is the GOP-seek sampling core: plan the sample
 // positions, group them by GOP, fan the groups across a bounded pool of
 // resident decoders, and stream the decoded frames into the warm engine in
 // frame order. The feeder sends each task to the ordered queue before the
 // work queue, so the ordered channel's buffer (one slot per worker) bounds
 // how many decoded-but-unconsumed GOPs exist — backpressure from the
 // engine paces the decode pool just as it paces the sequential path.
-func (s *Server) classifyParallelGOP(ctx context.Context, str store.Stream, ent *rtEntry, plan ServePlan, stride int, decOpts vid.DecodeOptions) (VideoResult, error) {
-	nFrames := str.Info.Frames
-	n := (nFrames + stride - 1) / stride
-	cr := &classifyReq{
-		frames:    make([]*img.Image, n),
-		framePool: &sync.Pool{},
-		preds:     make([]int, n),
-		entry:     ent,
-	}
-	tasks := gopTasks(str.Index, nFrames, stride)
-	workers := s.rt.videoDecodeWorkers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	pool := make([]*gopWorker, workers)
+func (s *Server) classifyParallelGOP(ctx context.Context, cr *classifyReq, str store.Stream, stride int, decOpts vid.DecodeOptions) (engine.Stats, vid.DecodeStats, error) {
+	tasks := gopTasks(str.Index, str.Info.Frames, stride)
+	pool := make([]*gopWorker, min(s.rt.videoDecodeWorkers(), len(tasks)))
 	for i := range pool {
 		dec, err := vid.NewDecoder(str.Data, decOpts)
 		if err != nil {
-			return VideoResult{}, err
+			return engine.Stats{}, vid.DecodeStats{}, err
 		}
 		if err := dec.SetGOPIndex(str.Index); err != nil {
-			return VideoResult{}, err
+			return engine.Stats{}, vid.DecodeStats{}, err
 		}
 		pool[i] = &gopWorker{dec: dec, cr: cr}
 	}
@@ -330,7 +344,7 @@ func (s *Server) classifyParallelGOP(ctx context.Context, str store.Stream, ent 
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	taskCh := make(chan *gopTask)
-	ordered := make(chan *gopTask, maxI(workers, 1))
+	ordered := make(chan *gopTask, max(len(pool), 1))
 	go func() {
 		defer close(taskCh)
 		defer close(ordered)
@@ -363,33 +377,20 @@ func (s *Server) classifyParallelGOP(ctx context.Context, str store.Stream, ent 
 		}(w)
 	}
 
-	src := &orderedGOPSource{ctx: ictx, cr: cr, class: ent.class, ordered: ordered}
+	src := &orderedGOPSource{ctx: ictx, cr: cr, class: cr.entry.class, ordered: ordered}
 	stats, err := s.pipe.Process(ictx, src)
 	cancel()
 	wg.Wait()
-	if err != nil {
-		return VideoResult{}, err
-	}
-	indices := make([]int, n)
-	for i := range indices {
-		indices[i] = i * stride
-	}
 	var dstats vid.DecodeStats
 	for _, w := range pool {
 		dstats.Add(w.dec.Stats())
 	}
-	return VideoResult{
-		FrameIndices: indices,
-		Predictions:  cr.preds,
-		Plan:         plan,
-		Stats:        stats,
-		Decode:       dstats,
-	}, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
+	// Each worker counts as bypassed every GOP it jumps over, including the
+	// ones its siblings decode, so the sum depends on which worker took
+	// which task. The request bypassed exactly the frames of its sampled
+	// span that no worker decoded.
+	if n := len(cr.preds); n > 0 {
+		dstats.FramesBypassed = (n-1)*stride + 1 - dstats.FramesDecoded
 	}
-	return b
+	return stats, dstats, err
 }
