@@ -223,6 +223,23 @@ func TestClassifyVideoStoredCancel(t *testing.T) {
 	}
 }
 
+// TestOrderedGOPSourceCancelled: the feeder closes the ordered queue early
+// when a request is cancelled, so a closed queue under a cancelled context
+// must end the source with the context's error, never as a complete stream
+// (which would return the unfilled slots as predictions).
+func TestOrderedGOPSourceCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ordered := make(chan *gopTask)
+	close(ordered)
+	src := &orderedGOPSource{ctx: ctx, ordered: ordered}
+	for i := 0; i < 32; i++ {
+		if _, ok, err := src.Next(); ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: Next returned ok=%v err=%v, want context.Canceled", i, ok, err)
+		}
+	}
+}
+
 // TestClassifyVideoRawMatchesStored: raw bytes are served as an unpersisted
 // stored video over a per-request GOP index, so a raw request and the same
 // bytes after IngestVideo must agree on everything the result reports —

@@ -300,7 +300,9 @@ func (s *orderedGOPSource) Next() (engine.Job, bool, error) {
 		select {
 		case t, ok := <-s.ordered:
 			if !ok {
-				return engine.Job{}, false, nil
+				// The feeder also closes ordered when it stops early on
+				// cancellation; that is not the end of the request.
+				return engine.Job{}, false, s.ctx.Err()
 			}
 			s.cur, s.curIdx = t, 0
 		case <-s.ctx.Done():
