@@ -656,15 +656,19 @@ func BenchmarkIngestHD(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		rc   RuntimeConfig
+		full bool
 	}{
-		{"full", RuntimeConfig{InputRes: 224, DisableCompiled: true, DisableScaledDecode: true}},
-		{"scaled", RuntimeConfig{InputRes: 224, DisableCompiled: true}},
-		{"scaled-roi", RuntimeConfig{InputRes: 224, DisableCompiled: true, ROIDecode: true}},
+		{"full", RuntimeConfig{InputRes: 224}, true},
+		{"scaled", RuntimeConfig{InputRes: 224}, false},
+		{"scaled-roi", RuntimeConfig{InputRes: 224, ROIDecode: true}, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rt, err := NewRuntime(model, bc.rc)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if bc.full {
+				rt.jpegScales = nil
 			}
 			prep := rt.prepFunc()
 			ws := &engine.WorkerState{}
@@ -707,15 +711,18 @@ func BenchmarkServeIngestHD(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name string
-		rc   RuntimeConfig
+		full bool
 	}{
-		{"full", RuntimeConfig{InputRes: 64, BatchSize: 8, DisableScaledDecode: true}},
-		{"scaled", RuntimeConfig{InputRes: 64, BatchSize: 8}},
+		{"full", true},
+		{"scaled", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			rt, err := NewRuntime(model, bc.rc)
+			rt, err := NewRuntime(model, RuntimeConfig{InputRes: 64, BatchSize: 8})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if bc.full {
+				rt.jpegScales = nil
 			}
 			srv, err := rt.Serve()
 			if err != nil {

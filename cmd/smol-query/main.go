@@ -19,14 +19,14 @@
 // Planner mode (trains a multi-entry model zoo and lets the serving
 // planner jointly pick model variant, input resolution, decode scale,
 // numeric precision, and preprocessing chain per request from an accuracy
-// floor; each zoo entry gains a quantized int8 twin unless -noint8 is set,
+// floor; each zoo entry gains a quantized int8 twin unless -int8=false is set,
 // and -explain prints the chosen plan — precision and the active GEMM
 // kernel (avx2/portable) included — next to its predicted vs. measured
 // throughput. -nosimd forces the portable f32 kernel, which is
 // bit-identical to the AVX2 tier, so it changes throughput only):
 //
 //	smol-query -type classify -dataset bike-bird -serve -zoo -minacc 0.8 -explain
-//	smol-query -type classify -dataset bike-bird -serve -zoo -noint8 -explain
+//	smol-query -type classify -dataset bike-bird -serve -zoo -int8=false -explain
 //	smol-query -type classify -dataset bike-bird -serve -zoo -nosimd -explain
 //
 // Video serving mode (classifies an SVID file — e.g. one written by
@@ -80,14 +80,11 @@ func main() {
 	errTarget := flag.Float64("err", 0.03, "aggregation error target")
 	serve := flag.Bool("serve", false, "classify through a warm streaming server with concurrent requests")
 	requests := flag.Int("requests", 4, "concurrent requests in -serve mode")
-	execPar := flag.Int("execpar", 0, "max concurrent model executions on the compiled path (0 = 2)")
-	compiled := flag.Bool("compiled", true, "execute batches through the compiled inference plan")
+	execPar := flag.Int("execpar", 0, "max concurrent model executions (0 = 2)")
 	roiDecode := flag.Bool("roidecode", false, "partially decode only the central crop region (Algorithm 1)")
-	scaleDecode := flag.Bool("scaledecode", true, "let the ingest planner decode JPEGs at reduced resolution (1/2, 1/4, 1/8) when cheapest")
 	zoo := flag.Bool("zoo", false, "train a multi-entry model zoo and serve through the joint accuracy/throughput planner (-serve mode)")
-	int8Flag := flag.Bool("int8", true, "quantize every zoo entry to an int8 twin (zoo mode); the planner routes to the fast tier when the accuracy floor allows")
-	noInt8 := flag.Bool("noint8", false, "disable the int8 inference tier (overrides -int8)")
-	noSIMD := flag.Bool("nosimd", false, "force the portable f32 GEMM kernel instead of AVX2 (bit-identical results; the scalar-tier A/B oracle, mirroring -noint8)")
+	useInt8 := flag.Bool("int8", true, "quantize every zoo entry to an int8 twin (zoo mode); the planner routes to the fast tier when the accuracy floor allows (-int8=false is the f32-only A/B)")
+	noSIMD := flag.Bool("nosimd", false, "force the portable f32 GEMM kernel instead of AVX2 (bit-identical results; the scalar-tier A/B oracle)")
 	minAcc := flag.Float64("minacc", 0, "accuracy floor for the serving planner (0 = max throughput)")
 	explain := flag.Bool("explain", false, "print the planner's chosen plan per request (variant, input res, decode scale, preproc chain, predicted vs measured throughput)")
 	video := flag.String("video", "", "classify an SVID video file through the warm serving engine")
@@ -123,20 +120,18 @@ func main() {
 		log.Fatalf("smol-query: -select requires -store (the cascade's score sidecar and GOP pushdown live in the media store)")
 	}
 
-	useInt8 := *int8Flag && !*noInt8
 	switch *qtype {
 	case "classify":
 		if *selectQ {
 			videoSelect(*video, *storeDir, *dataset, *selClass, *selLimit, *stride, *execPar,
-				*compiled, *zoo, useInt8, *noSeek, *noCascade, *selMinConf, *minAcc, *explain)
+				*zoo, *useInt8, *noSeek, *noCascade, *selMinConf, *minAcc, *explain)
 		} else if *video != "" {
-			videoClassify(*video, *lowres, *storeDir, *dataset, *stride, *execPar, *compiled, *roiDecode, *scaleDecode,
-				*zoo, useInt8, *noSeek, *minAcc, *explain)
+			videoClassify(*video, *lowres, *storeDir, *dataset, *stride, *execPar, *roiDecode,
+				*zoo, *useInt8, *noSeek, *minAcc, *explain)
 		} else if *serve {
-			serveClassify(*dataset, *requests, *execPar, *compiled, *roiDecode, *scaleDecode,
-				*zoo, useInt8, *minAcc, *explain)
+			serveClassify(*dataset, *requests, *execPar, *roiDecode, *zoo, *useInt8, *minAcc, *explain)
 		} else {
-			classify(*dataset, *roiDecode, *scaleDecode)
+			classify(*dataset, *roiDecode)
 		}
 	case "aggregate":
 		aggregate(*dataset, *errTarget)
@@ -145,7 +140,7 @@ func main() {
 	}
 }
 
-func classify(name string, roiDecode, scaleDecode bool) {
+func classify(name string, roiDecode bool) {
 	spec, err := data.ImageDataset(name)
 	if err != nil {
 		log.Fatal(err)
@@ -171,8 +166,7 @@ func classify(name string, roiDecode, scaleDecode bool) {
 		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
 	}
 	rt, err := smol.NewRuntime(clf.Model, smol.RuntimeConfig{
-		InputRes: spec.FullRes, BatchSize: 32,
-		ROIDecode: roiDecode, DisableScaledDecode: !scaleDecode,
+		InputRes: spec.FullRes, BatchSize: 32, ROIDecode: roiDecode,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -195,8 +189,7 @@ func classify(name string, roiDecode, scaleDecode bool) {
 // trainServingRuntime generates the synthetic image dataset, trains a
 // single resnet-a (or a multi-entry zoo, with useZoo), and builds the
 // serving runtime from cfg — the setup shared by the -serve and -video
-// modes, so runtime flags (-execpar, -compiled, -roidecode, -scaledecode)
-// behave identically in both.
+// modes, so runtime flags (-execpar, -roidecode) behave identically in both.
 func trainServingRuntime(dataset string, useZoo, useInt8 bool, cfg smol.RuntimeConfig) (*smol.Runtime, data.DatasetSpec, *data.Dataset) {
 	spec, err := data.ImageDataset(dataset)
 	if err != nil {
@@ -248,32 +241,26 @@ func trainServingRuntime(dataset string, useZoo, useInt8 bool, cfg smol.RuntimeC
 
 // serveClassify trains once, brings up a resident streaming server, and
 // fires concurrent classification requests that share the warm engine.
-// With the compiled inference plan the requests' batches also execute in
-// parallel (up to execPar forwards at once) instead of serializing. With
+// The requests' batches also execute in parallel (up to execPar forwards at
+// once) through the compiled inference plan. With
 // useZoo a multi-entry model zoo is trained instead and each request is
 // routed by the serving planner from the minAcc accuracy floor.
-func serveClassify(name string, requests, execPar int, compiled, roiDecode, scaleDecode,
-	useZoo, useInt8 bool, minAcc float64, explain bool) {
+func serveClassify(name string, requests, execPar int, roiDecode, useZoo, useInt8 bool, minAcc float64, explain bool) {
 	if requests < 1 {
 		requests = 1
 	}
 	rt, _, ds := trainServingRuntime(name, useZoo, useInt8, smol.RuntimeConfig{
 		BatchSize:    32,
 		QoS:          smol.QoS{MinAccuracy: minAcc},
-		ExecParallel: execPar, DisableCompiled: !compiled,
-		ROIDecode: roiDecode, DisableScaledDecode: !scaleDecode,
+		ExecParallel: execPar,
+		ROIDecode:    roiDecode,
 	})
 
 	inputs := make([]smol.EncodedImage, len(ds.Test))
 	for i, li := range ds.Test {
 		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
 	}
-	if rt.Compiled() {
-		fmt.Println("execution: compiled inference plan (folded batch-norm, fused GEMM, parallel batches)")
-	} else {
-		fmt.Println("execution: reference model forward (serialized)")
-	}
-	fmt.Printf("ingest: scaled decode %v, ROI decode %v\n", scaleDecode, roiDecode)
+	fmt.Printf("ingest: ROI decode %v\n", roiDecode)
 	srv, err := rt.Serve()
 	if err != nil {
 		log.Fatal(err)
@@ -337,7 +324,7 @@ func serveClassify(name string, requests, execPar int, compiled, roiDecode, scal
 // store there and served store-backed: the persisted GOP index lets
 // sampling seek straight to the sampled GOPs and fan them across a decoder
 // pool (noSeek forces the sequential baseline for comparison).
-func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int, compiled, roiDecode, scaleDecode,
+func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int, roiDecode,
 	useZoo, useInt8, noSeek bool, minAcc float64, explain bool) {
 	streamData, err := os.ReadFile(path)
 	if err != nil {
@@ -360,10 +347,10 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 		}
 	}
 	rt, _, _ := trainServingRuntime(dataset, useZoo, useInt8, smol.RuntimeConfig{
-		BatchSize:    32,
-		QoS:          smol.QoS{MinAccuracy: minAcc},
-		ExecParallel: execPar, DisableCompiled: !compiled,
-		ROIDecode: roiDecode, DisableScaledDecode: !scaleDecode,
+		BatchSize:      32,
+		QoS:            smol.QoS{MinAccuracy: minAcc},
+		ExecParallel:   execPar,
+		ROIDecode:      roiDecode,
 		DisableGOPSeek: noSeek,
 	})
 
@@ -442,7 +429,7 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 // limit confirmations. noCascade verifies every sampled frame instead, the
 // equivalence baseline.
 func videoSelect(path, storeDir, dataset string, class, limit, stride, execPar int,
-	compiled, useZoo, useInt8, noSeek, noCascade bool, minConf, minAcc float64, explain bool) {
+	useZoo, useInt8, noSeek, noCascade bool, minConf, minAcc float64, explain bool) {
 	streamData, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -453,9 +440,9 @@ func videoSelect(path, storeDir, dataset string, class, limit, stride, execPar i
 	}
 	fmt.Printf("video %s: %d frames at %dx%d, GOP %d\n", path, info.Frames, info.W, info.H, info.GOP)
 	rt, _, _ := trainServingRuntime(dataset, useZoo, useInt8, smol.RuntimeConfig{
-		BatchSize:    32,
-		QoS:          smol.QoS{MinAccuracy: minAcc},
-		ExecParallel: execPar, DisableCompiled: !compiled,
+		BatchSize:           32,
+		QoS:                 smol.QoS{MinAccuracy: minAcc},
+		ExecParallel:        execPar,
 		DisableGOPSeek:      noSeek,
 		DisableProxyCascade: noCascade,
 	})

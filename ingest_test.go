@@ -1,6 +1,7 @@
 package smol
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -70,17 +71,69 @@ func TestIngestPlanSelectsScale(t *testing.T) {
 	if ip.scale != 1 || ip.full.DecodeScale() != 1 {
 		t.Fatalf("PNG ingest chose scale 1/%d", ip.scale)
 	}
-	// Disabled: full decode regardless of geometry.
-	rtFull, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, DisableScaledDecode: true})
+	// No reduced scales offered: full decode regardless of geometry.
+	rtFull, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rtFull.jpegScales = nil
 	ip, err = rtFull.ingestFor(160, 120, 8, CodecJPEG, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ip.scale != 1 {
-		t.Fatalf("DisableScaledDecode chose scale 1/%d", ip.scale)
+		t.Fatalf("full-decode runtime chose scale 1/%d", ip.scale)
+	}
+}
+
+// TestStillPlanMatchesIngestPlan: the still planner costs the decode scale
+// and preprocessing chain the ingest compiler then executes, for JPEG (4:2:0,
+// the 16px MCU the planner assumes under ROI decode) and PNG inputs on the
+// default, ROI and full-decode runtimes — the scale decision lives in one
+// place, so the prediction and the execution cannot disagree.
+func TestStillPlanMatchesIngestPlan(t *testing.T) {
+	z, _ := quantizedTinyZoo(t)
+	for _, c := range []struct {
+		name      string
+		roi, full bool
+	}{{"default", false, false}, {"roi", true, false}, {"full", false, true}} {
+		r := pinnedPlanRuntime(t, z, RuntimeConfig{ROIDecode: c.roi})
+		if c.full {
+			r.jpegScales = nil
+		}
+		for _, size := range [][2]int{{1920, 1080}, {1280, 720}, {160, 160}} {
+			m := img.New(size[0], size[1])
+			for _, in := range []MediaInput{
+				{Codec: CodecJPEG, Data: jpeg.Encode(m, jpeg.EncodeOptions{Quality: 90, Subsampling: jpeg.Sub420})},
+				{Codec: CodecPNG, Data: EncodePNG(m)},
+			} {
+				mcu := 0
+				if in.Codec == CodecJPEG {
+					var dec jpeg.Decoder
+					if _, _, err := dec.Parse(in.Data); err != nil {
+						t.Fatal(err)
+					}
+					if mcu = dec.MCUSize(); mcu != 16 {
+						t.Fatalf("4:2:0 JPEG has a %dpx MCU, want 16", mcu)
+					}
+				}
+				for _, floor := range []float64{0, 0.95} {
+					where := fmt.Sprintf("%s %s %dx%d floor %v", c.name, in.Codec, size[0], size[1], floor)
+					_, p, err := r.planFor([]MediaInput{in}, QoS{MinAccuracy: floor})
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					ip, err := r.ingestFor(size[0], size[1], mcu, in.Codec, p.InputRes)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if p.DecodeScale != ip.full.DecodeScale() || p.Preproc != ip.full.Describe() {
+						t.Fatalf("%s: planned decode 1/%d %q, ingest executes 1/%d %q",
+							where, p.DecodeScale, p.Preproc, ip.full.DecodeScale(), ip.full.Describe())
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -134,14 +187,15 @@ func TestIngestPlanROIGeometry(t *testing.T) {
 // never semantics.
 func TestCompiledIngestMatchesNaivePath(t *testing.T) {
 	clf, _ := trainTinyClassifier(t)
-	for _, cfg := range []RuntimeConfig{
-		{InputRes: 16, BatchSize: 8, Workers: 2},
-		{InputRes: 16, BatchSize: 8, Workers: 2, ROIDecode: true},
-		{InputRes: 16, BatchSize: 8, Workers: 2, DisableScaledDecode: true},
-	} {
-		rt, err := NewRuntime(clf.Model, cfg)
+	for _, c := range []struct {
+		roi, full bool
+	}{{false, false}, {true, false}, {false, true}} {
+		rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2, ROIDecode: c.roi})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.full {
+			rt.jpegScales = nil
 		}
 		inputs, _ := renderLargeInputs(24, 96)
 		res, err := rt.Classify(inputs)
@@ -172,8 +226,8 @@ func TestCompiledIngestMatchesNaivePath(t *testing.T) {
 			copy(batch.Data, one.Data)
 			want := clf.Model.Predict(batch)[0]
 			if res.Predictions[i] != want {
-				t.Fatalf("cfg %+v image %d: engine predicted %d, naive path %d",
-					cfg, i, res.Predictions[i], want)
+				t.Fatalf("roi=%v full=%v image %d: engine predicted %d, naive path %d",
+					c.roi, c.full, i, res.Predictions[i], want)
 			}
 		}
 	}
@@ -189,10 +243,13 @@ func TestScaledIngestPreservesAccuracy(t *testing.T) {
 	for i := range labels {
 		labels[i] = i % 2
 	}
-	acc := func(cfg RuntimeConfig) float64 {
-		rt, err := NewRuntime(clf.Model, cfg)
+	acc := func(full bool) float64 {
+		rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if full {
+			rt.jpegScales = nil
 		}
 		res, err := rt.Classify(inputs)
 		if err != nil {
@@ -206,8 +263,8 @@ func TestScaledIngestPreservesAccuracy(t *testing.T) {
 		}
 		return float64(correct) / float64(len(inputs))
 	}
-	full := acc(RuntimeConfig{InputRes: 16, BatchSize: 8, DisableScaledDecode: true})
-	scaled := acc(RuntimeConfig{InputRes: 16, BatchSize: 8})
+	full := acc(true)
+	scaled := acc(false)
 	if scaled < full-0.05 {
 		t.Fatalf("scaled ingest accuracy %.2f vs full-decode %.2f", scaled, full)
 	}

@@ -289,45 +289,13 @@ func TestInt8ServerConcurrent(t *testing.T) {
 	}
 }
 
-// TestDisableInt8 drops quantized entries at runtime construction, and an
-// all-int8 zoo with the tier disabled fails loudly instead of serving
-// nothing.
-func TestDisableInt8(t *testing.T) {
-	z, _ := quantizedTinyZoo(t)
-	zr, err := NewZooRuntime(z, RuntimeConfig{BatchSize: 8, DisableInt8: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range zr.Entries() {
-		if strings.Contains(name, "/int8") {
-			t.Fatalf("DisableInt8 runtime still carries %s", name)
-		}
-	}
-	only := NewZoo()
-	for _, e := range z.Entries() {
-		if e.Int8() {
-			if err := only.Add(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := NewZooRuntime(only, RuntimeConfig{DisableInt8: true}); err == nil {
-		t.Fatal("all-int8 zoo with DisableInt8 should fail")
-	}
-}
-
 // TestInt8EntryValidation: int8 entries without a calibration are rejected
-// at Add time, and building a runtime over an int8 entry that cannot use
-// the compiled path fails instead of silently serving f32.
+// at Add time, before any runtime could try to quantize them.
 func TestInt8EntryValidation(t *testing.T) {
 	zoo, _ := trainTinyZoo(t)
 	e := zoo.Entries()[0]
 	e.Precision = PrecisionInt8
 	if err := NewZoo().Add(e); err == nil {
 		t.Fatal("int8 entry without calibration should be rejected")
-	}
-	z, _ := quantizedTinyZoo(t)
-	if _, err := NewZooRuntime(z, RuntimeConfig{DisableCompiled: true}); err == nil {
-		t.Fatal("int8 entries need the compiled path; DisableCompiled should fail")
 	}
 }

@@ -62,23 +62,28 @@ func pinnedPlanRuntime(t *testing.T, z *Zoo, cfg RuntimeConfig) *Runtime {
 }
 
 // planClasses enumerates the golden grid: still images per codec, size and
-// decode configuration; video per rendition set, stride, deblock mode, GOP
-// seek and deblock penalty; SELECT per limit, confidence floor and cached
-// score tables.
+// decode configuration; video per rendition set, stride, deblock mode and
+// GOP seek; SELECT per limit, confidence floor and cached score tables.
 func planClasses(t *testing.T) []planClass {
 	t.Helper()
 	z, _ := quantizedTinyZoo(t)
 	configs := []struct {
 		name string
 		cfg  RuntimeConfig
+		// full drops the reduced JPEG decode scales (the full-decode
+		// oracle).
+		full bool
 	}{
-		{"default", RuntimeConfig{}},
-		{"roi", RuntimeConfig{ROIDecode: true}},
-		{"noscale", RuntimeConfig{DisableScaledDecode: true}},
+		{"default", RuntimeConfig{}, false},
+		{"roi", RuntimeConfig{ROIDecode: true}, false},
+		{"noscale", RuntimeConfig{}, true},
 	}
 	var classes []planClass
 	for _, c := range configs {
 		r := pinnedPlanRuntime(t, z, c.cfg)
+		if c.full {
+			r.jpegScales = nil
+		}
 		for _, codec := range []Codec{CodecJPEG, CodecPNG} {
 			for _, size := range [][2]int{{1920, 1080}, {1280, 720}, {160, 160}} {
 				m := img.New(size[0], size[1])
@@ -114,21 +119,19 @@ func planClasses(t *testing.T) []planClass {
 		name string
 		mode DeblockMode
 	}{{"auto", DeblockAuto}, {"on", DeblockOn}, {"off", DeblockOff}}
-	for _, penalty := range []float64{0, -1} {
-		r := pinnedPlanRuntime(t, z, RuntimeConfig{VideoDeblockPenalty: penalty})
-		for _, ss := range streamSets {
-			for _, stride := range []int{1, 6, 30} {
-				for _, m := range modes {
-					for _, seek := range []bool{true, false} {
-						classes = append(classes, planClass{
-							name: fmt.Sprintf("video %s stride=%d deblock=%s seek=%v penalty=%v",
-								ss.name, stride, m.name, seek, penalty),
-							run: func(q QoS) (ServePlan, *SelectPlan, error) {
-								_, _, p, err := r.planVideoInfos(ss.infos, q, stride, m.mode, seek)
-								return p, nil, err
-							},
-						})
-					}
+	vr := pinnedPlanRuntime(t, z, RuntimeConfig{})
+	for _, ss := range streamSets {
+		for _, stride := range []int{1, 6, 30} {
+			for _, m := range modes {
+				for _, seek := range []bool{true, false} {
+					classes = append(classes, planClass{
+						name: fmt.Sprintf("video %s stride=%d deblock=%s seek=%v",
+							ss.name, stride, m.name, seek),
+						run: func(q QoS) (ServePlan, *SelectPlan, error) {
+							_, _, p, err := vr.planVideoInfos(ss.infos, q, stride, m.mode, seek)
+							return p, nil, err
+						},
+					})
 				}
 			}
 		}

@@ -64,10 +64,9 @@ type ServePlan struct {
 	// below an int8 twin's measured accuracy get the fast tier.
 	Precision string
 	// Kernel names the GEMM kernel tier the plan's forwards execute on
-	// ("avx2" or "portable", tensor.Kernel*); "reference" marks entries
-	// that did not compile and run the serialized reference path. The f32
-	// tiers are bit-identical, so Kernel never affects results — it is
-	// -explain visibility into what the hardware actually runs.
+	// ("avx2" or "portable", tensor.Kernel*). The f32 tiers are
+	// bit-identical, so Kernel never affects results — it is -explain
+	// visibility into what the hardware actually runs.
 	Kernel string
 	// Accuracy is the effective accuracy the planner's QoS floor was
 	// checked against: the entry's measured validation accuracy, minus
@@ -111,21 +110,6 @@ func (p ServePlan) String() string {
 	}
 	return fmt.Sprintf("%s [%s] on %s: decode 1/%d, %s, predicted %.0f im/s (acc %.3f)",
 		p.Entry, tier, p.InputFormat, p.DecodeScale, p.Preproc, p.PredictedThroughput, p.Accuracy)
-}
-
-// kernelFor names the GEMM kernel tier an entry's forwards run on: the
-// int8 kernel for quantized plans, the active f32 kernel for compiled f32
-// plans, and "reference" for the uncompiled serialized path (scalar tensor
-// ops, no GEMM dispatch).
-func (r *Runtime) kernelFor(ent *rtEntry) string {
-	switch {
-	case ent.qplan != nil:
-		return tensor.Int8KernelName()
-	case ent.plan != nil:
-		return tensor.F32KernelName()
-	default:
-		return "reference"
-	}
 }
 
 // selKey memoizes still-image planner decisions per (input class, QoS)
@@ -237,7 +221,7 @@ func (r *Runtime) servePlan(ent *rtEntry, choice videoChoice, ev costmodel.Evalu
 		Variant:             ent.Variant,
 		InputRes:            ent.InputRes,
 		Precision:           ent.PrecisionLabel(),
-		Kernel:              r.kernelFor(ent),
+		Kernel:              ent.kernel(),
 		Accuracy:            ev.Accuracy,
 		InputFormat:         ev.Plan.Format.Name,
 		DecodeScale:         ev.Plan.Preproc.DecodeScale(),
@@ -308,10 +292,6 @@ func (r *Runtime) selectPlan(key selKey) (selection, error) {
 	// so the predicted plan is the one the runtime will actually execute.
 	cands := make([]candidate, 0, len(r.entries))
 	for _, ent := range r.entries {
-		var scales []int
-		if key.codec == CodecJPEG && !r.cfg.DisableScaledDecode {
-			scales = jpegDecodeScales
-		}
 		specW, specH := key.w, key.h
 		entFormat := format
 		if key.codec == CodecJPEG && r.cfg.ROIDecode {
@@ -324,7 +304,7 @@ func (r *Runtime) selectPlan(key selKey) (selection, error) {
 			specW, specH = region.W(), region.H()
 			entFormat.ROIFraction = float64(specW*specH) / float64(key.w*key.h)
 		}
-		spec := preproc.ServeSpec(specW, specH, ent.InputRes, r.cfg.Mean, r.cfg.Std, scales)
+		spec := serveSpec(specW, specH, ent.InputRes, r.decodeScales(key.codec))
 		pplan, err := preproc.Optimize(spec)
 		if err != nil {
 			return selection{}, fmt.Errorf("smol: optimizing preproc for %s: %w", ent.name, err)
@@ -437,18 +417,10 @@ func (r *Runtime) measureExecUS(ent *rtEntry) float64 {
 	preds := make([]int, n)
 	run := func() time.Duration {
 		start := time.Now()
-		if ent.qplan != nil {
-			ent.qplan.PredictInto(x, preds)
-		} else if ent.plan != nil {
-			ent.plan.PredictInto(x, preds)
-		} else {
-			ent.execMu.Lock()
-			ent.Model.Predict(x)
-			ent.execMu.Unlock()
-		}
+		ent.exec.PredictInto(x, preds)
 		return time.Since(start)
 	}
-	run() // warm arenas and layer caches
+	run() // warm the plan's activation arenas
 	best := run()
 	if d := run(); d < best {
 		best = d
@@ -467,7 +439,7 @@ func (r *Runtime) measurePreprocScale() float64 {
 		}
 	}
 	enc := jpeg.Encode(m, jpeg.EncodeOptions{Quality: 90})
-	spec := preproc.ServeSpec(refW, refH, refRes, r.cfg.Mean, r.cfg.Std, nil)
+	spec := serveSpec(refW, refH, refRes, nil)
 	plan, err := preproc.Optimize(spec)
 	if err != nil {
 		return 1

@@ -18,7 +18,9 @@ import (
 )
 
 // RuntimeConfig configures the execution engine for real (in-process)
-// inference over encoded images.
+// inference over encoded images. It holds only what a deployment sets; the
+// runtime works out everything else (decode scales, preprocessing chains,
+// decoder pool sizes) from its cost model and the machine it runs on.
 type RuntimeConfig struct {
 	// Workers is the number of preprocessing goroutines (0 = GOMAXPROCS).
 	Workers int
@@ -28,9 +30,6 @@ type RuntimeConfig struct {
 	// NewRuntime (single model); ignored by NewZooRuntime, where every zoo
 	// entry carries its own resolution.
 	InputRes int
-	// Mean and Std are the normalization constants; zero Std means the
-	// plain [0,1] scaling used by models trained with internal/data.
-	Mean, Std [3]float32
 	// QoS is the default serving target applied to Classify calls that do
 	// not supply their own (see Server.ClassifyQoS). The zero value asks
 	// for maximum throughput with no accuracy floor.
@@ -38,32 +37,17 @@ type RuntimeConfig struct {
 	// ROIDecode enables partial JPEG decoding of the central crop region
 	// (Algorithm 1).
 	ROIDecode bool
-	// DisableScaledDecode turns off DCT-domain reduced-resolution JPEG
-	// decoding. By default the ingest planner may decode at 1/2, 1/4 or
-	// 1/8 resolution when the model's input resolution makes that the
-	// cheapest joint decode+preprocess plan (the paper's low-resolution
-	// decode optimization, §5); disable it to force full-resolution decode
-	// for A/B comparison.
-	DisableScaledDecode bool
-	// ExecParallel bounds how many model forwards may run at once on the
-	// compiled inference path (0 = 2, matching the engine's default stream
-	// count). Each forward already parallelizes its GEMMs across
-	// GOMAXPROCS, so this knob trades arena memory and scheduler pressure
-	// for stream overlap, not raw compute. The reference path always
-	// serializes per entry regardless.
+	// ExecParallel bounds how many model forwards may run at once
+	// (0 = 2, matching the engine's default stream count). Each forward
+	// already parallelizes its GEMMs across GOMAXPROCS, so this knob trades
+	// arena memory and scheduler pressure for stream overlap, not raw
+	// compute.
 	ExecParallel int
-	// DisableCompiled forces the reference Model.Forward execution path
-	// even when the model compiles, for A/B comparison and tests.
-	DisableCompiled bool
-	// DisableInt8 drops quantized zoo entries at construction, so the
-	// planner only ever routes to full-precision plans (A/B comparison and
-	// strict bit-reproducibility deployments).
-	DisableInt8 bool
 	// DisableGOPSeek forces sequential full-stream decode for video
 	// sampling: every frame up to the last sample is decoded (skipped
 	// frames still pay motion compensation), as if no GOP index existed.
 	// It is the A/B switch and the equivalence oracle for the GOP-seek
-	// paths, mirroring DisableScaledDecode on the JPEG side.
+	// paths.
 	DisableGOPSeek bool
 	// DisableProxyCascade forces SelectVideo to verify every sampled frame
 	// with the chosen zoo entry instead of running the two-stage proxy
@@ -72,26 +56,6 @@ type RuntimeConfig struct {
 	// the cascade must return the same frame set at a fraction of the
 	// decode and inference work.
 	DisableProxyCascade bool
-	// VideoDecodeWorkers bounds the per-request pool of resident decoders
-	// that all GOP-seek video sampling fans disjoint GOPs across — raw and
-	// stored ClassifyVideo requests and SelectVideo's full-scan oracle
-	// alike (0 = min(GOMAXPROCS, 4)). Sampled frames still enter the shared
-	// engine in frame order, and the request's decode counters are the same,
-	// regardless of the pool size.
-	VideoDecodeWorkers int
-	// VideoDeblockPenalty is the validation-accuracy penalty the video
-	// planner assumes when it serves a stream with the in-loop deblocking
-	// filter disabled (the reduced-fidelity decode of §6.4): a candidate
-	// plan's accuracy is the zoo entry's measured accuracy minus this
-	// penalty, so deblock-off only wins when the QoS floor still holds.
-	// Zero means the default 0.01; negative disables deblock-off plans
-	// entirely.
-	VideoDeblockPenalty float64
-	// MaxCachedPlans bounds the compiled ingest-plan LRU cache (0 = 1024).
-	// Input dimensions come from user-supplied images, so a resident
-	// Server must not grow memory without bound; beyond the cap the least
-	// recently used input class is evicted and recompiled on next sight.
-	MaxCachedPlans int
 }
 
 // Runtime executes classification over encoded images with a zoo of
@@ -107,9 +71,8 @@ type Runtime struct {
 	// class each. A single-model Runtime is a zoo of one.
 	entries []*rtEntry
 
-	// execSem bounds concurrent compiled forwards across all entries
-	// (configurable exec parallelism), letting multiple engine streams
-	// overlap execution.
+	// execSem bounds concurrent forwards across all entries (configurable
+	// exec parallelism), letting multiple engine streams overlap execution.
 	execSem chan struct{}
 
 	// ingest caches compiled ingest plans keyed by input class (codec,
@@ -118,6 +81,19 @@ type Runtime struct {
 	// run once per distinct input shape instead of once per image on the
 	// hot prep path.
 	ingest ingestCache
+
+	// jpegScales are the JPEG decode factors the joint decode+preprocess
+	// search chooses from (full plus the DCT-domain 1/2, 1/4 and 1/8
+	// reconstructions: the paper's low-resolution decode, §5). The still
+	// planner and the ingest compiler both read it through decodeScales,
+	// so the plan a request is costed with is the plan it executes. Tests
+	// set it to nil on a fresh runtime to get the full-decode oracle.
+	jpegScales []int
+	// decodeWorkers bounds the per-request pool of resident decoders that
+	// GOP-seek video sampling fans disjoint GOPs across (min(GOMAXPROCS,
+	// 4)). Sampled frames still enter the shared engine in frame order, and
+	// the request's decode counters are the same, whatever the pool size.
+	decodeWorkers int
 
 	// Planner state: the live calibration is measured once per runtime
 	// (the video decode reference lazily, on the first video request), and
@@ -133,8 +109,7 @@ type Runtime struct {
 }
 
 // rtEntry is one zoo entry lowered for serving: its compiled inference
-// plan (or the serialized reference path), its engine shape class, and its
-// recycled prediction buffers.
+// plan, its engine shape class, and its recycled prediction buffers.
 type rtEntry struct {
 	ZooEntry
 	name string
@@ -142,34 +117,39 @@ type rtEntry struct {
 	// tensor pool, staging arena, queue and streams per entry, so batch
 	// geometry is per-variant rather than one global shape.
 	class int
-	// plan is the compiled inference path (folded batch-norm, fused GEMM
-	// epilogues, recycled activation arenas). It is immutable and
-	// reentrant; nil when compilation was disabled or the model shape is
-	// unsupported.
-	plan *nn.InferencePlan
-	// qplan is the quantized int8 execution path, set only on int8 zoo
-	// entries: the f32 plan lowered through the entry's persisted
-	// activation calibration. Like plan it is immutable and reentrant, and
-	// it takes precedence over plan when both exist.
-	qplan *nn.QuantizedPlan
-	// The reference model's layers cache per-forward state, so the
-	// fallback path serializes behind execMu (one mutable compute resource
-	// per entry); engine streams still overlap batch assembly with it.
-	execMu sync.Mutex
+	// exec is the entry's compiled inference plan: the f32 plan (folded
+	// batch-norm, fused GEMM epilogues, recycled activation arenas), or on
+	// an int8 entry that plan lowered through the entry's persisted
+	// activation calibration. Either is immutable and reentrant.
+	exec predictor
 	// preds recycles per-batch prediction buffers (as *[]int to avoid
-	// interface boxing), keeping the compiled exec path allocation-free.
+	// interface boxing), keeping the exec path allocation-free.
 	preds sync.Pool
+}
+
+// predictor is a compiled inference plan: *nn.InferencePlan or
+// *nn.QuantizedPlan.
+type predictor interface {
+	PredictInto(x *tensor.Tensor, preds []int)
+}
+
+// kernel names the GEMM kernel tier the entry's forwards run on: the int8
+// kernel for quantized entries, the active f32 kernel otherwise.
+func (e *rtEntry) kernel() string {
+	if e.Int8() {
+		return tensor.Int8KernelName()
+	}
+	return tensor.F32KernelName()
 }
 
 // NewRuntime wraps a single trained model (e.g. from LoadClassifier or
 // TrainClassifier) for pipelined batch inference: a zoo of one, so every
 // request runs the same plan regardless of QoS.
 //
-// Unless DisableCompiled is set, the model's weights (and batch-norm
-// statistics) are snapshotted here into an immutable compiled plan:
-// mutating the model afterwards — further training, reloading weights —
-// does not affect this runtime. Construct a new Runtime after updating a
-// model.
+// The model's weights (and batch-norm statistics) are snapshotted here into
+// an immutable compiled plan: mutating the model afterwards — further
+// training, reloading weights — does not affect this runtime. Construct a
+// new Runtime after updating a model.
 func NewRuntime(model *nn.Model, cfg RuntimeConfig) (*Runtime, error) {
 	if model == nil {
 		return nil, fmt.Errorf("smol: nil model")
@@ -185,10 +165,11 @@ func NewRuntime(model *nn.Model, cfg RuntimeConfig) (*Runtime, error) {
 }
 
 // NewZooRuntime builds a serving runtime over a model zoo. Every entry is
-// compiled once (unless DisableCompiled); the serving planner then picks
-// the entry per request from its QoS target, using cost estimates
-// calibrated against live measurements of the compiled plans and ingest
-// kernels.
+// compiled once (nn.Compile; an int8 entry is then quantized through its
+// persisted calibration), and a model the compiler does not cover is a
+// construction error naming the entry. The serving planner then picks the
+// entry per request from its QoS target, using cost estimates calibrated
+// against live measurements of the compiled plans and ingest kernels.
 func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	if zoo == nil || zoo.Len() == 0 {
 		return nil, fmt.Errorf("smol: empty zoo")
@@ -196,46 +177,29 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	if err := cfg.QoS.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Std == ([3]float32{}) {
-		cfg.Std = [3]float32{1, 1, 1}
+	r := &Runtime{
+		cfg:           cfg,
+		jpegScales:    jpeg.SupportedScales(),
+		decodeWorkers: max(1, min(goruntime.GOMAXPROCS(0), 4)),
 	}
-	maxPlans := cfg.MaxCachedPlans
-	if maxPlans <= 0 {
-		maxPlans = 1024
-	}
-	r := &Runtime{cfg: cfg}
-	r.ingest.init(maxPlans)
+	r.ingest.init(maxCachedPlans)
 	for _, e := range zoo.Entries() {
-		if e.Int8() && cfg.DisableInt8 {
-			continue
+		plan, err := nn.Compile(e.Model)
+		if err != nil {
+			return nil, fmt.Errorf("smol: compiling zoo entry %s: %w", e.Name(), err)
 		}
-		ent := &rtEntry{ZooEntry: e, name: e.Name(), class: len(r.entries)}
-		if !cfg.DisableCompiled {
-			// Compilation fails only for layer shapes the plan vocabulary
-			// does not cover; those models fall back to the serialized
-			// reference path.
-			if plan, err := nn.Compile(e.Model); err == nil {
-				ent.plan = plan
-			}
-		}
+		ent := &rtEntry{ZooEntry: e, name: e.Name(), class: len(r.entries), exec: plan}
 		if e.Int8() {
-			// An int8 entry has no reference fallback: it exists only as a
-			// quantized plan, rebuilt bit-identically from the f32 weights
-			// and the persisted activation scales. Failing to build it is a
-			// configuration error, not a silent downgrade to f32.
-			if ent.plan == nil {
-				return nil, fmt.Errorf("smol: int8 zoo entry %s needs the compiled path (model does not compile or DisableCompiled is set)", ent.name)
-			}
-			qp, err := nn.Quantize(ent.plan, e.Calib)
+			// An int8 entry exists only as a quantized plan, rebuilt
+			// bit-identically from the f32 weights and the persisted
+			// activation scales.
+			qp, err := nn.Quantize(plan, e.Calib)
 			if err != nil {
 				return nil, fmt.Errorf("smol: quantizing zoo entry %s: %w", ent.name, err)
 			}
-			ent.qplan = qp
+			ent.exec = qp
 		}
 		r.entries = append(r.entries, ent)
-	}
-	if len(r.entries) == 0 {
-		return nil, fmt.Errorf("smol: zoo has no servable entries (all int8 with DisableInt8 set)")
 	}
 	par := cfg.ExecParallel
 	if par <= 0 {
@@ -243,33 +207,6 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	}
 	r.execSem = make(chan struct{}, par)
 	return r, nil
-}
-
-// videoDecodeWorkers resolves RuntimeConfig.VideoDecodeWorkers.
-func (r *Runtime) videoDecodeWorkers() int {
-	if r.cfg.VideoDecodeWorkers > 0 {
-		return r.cfg.VideoDecodeWorkers
-	}
-	n := goruntime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Compiled reports whether every zoo entry executes through a compiled
-// inference plan (parallel, f32 or int8) rather than the serialized
-// reference model.
-func (r *Runtime) Compiled() bool {
-	for _, ent := range r.entries {
-		if ent.plan == nil && ent.qplan == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Entries lists the zoo entry names ("variant@res") in shape-class order.
@@ -392,6 +329,12 @@ type ingestCacheEntry struct {
 	plan *ingestPlan
 }
 
+// maxCachedPlans bounds the ingest-plan LRU cache. Input dimensions come
+// from user-supplied images, so a resident Server must not grow memory
+// without bound; beyond the cap the least recently used input class is
+// evicted and recompiled on next sight.
+const maxCachedPlans = 1024
+
 func (c *ingestCache) init(capacity int) {
 	c.cap = capacity
 	c.m = make(map[ingestKey]*list.Element)
@@ -455,12 +398,7 @@ func (r *Runtime) ingestFor(w, h, mcu int, codec Codec, res int) (*ingestPlan, e
 		roi, region = roiGeometry(w, h, res, mcu)
 		decW, decH = region.W(), region.H()
 	}
-	var scales []int
-	if codec == CodecJPEG && !r.cfg.DisableScaledDecode {
-		scales = jpegDecodeScales
-	}
-	spec := preproc.ServeSpec(decW, decH, res, r.cfg.Mean, r.cfg.Std, scales)
-	plan, err := preproc.Optimize(spec)
+	plan, err := preproc.Optimize(serveSpec(decW, decH, res, r.decodeScales(codec)))
 	if err != nil {
 		return nil, err
 	}
@@ -473,9 +411,26 @@ func (r *Runtime) ingestFor(w, h, mcu int, codec Codec, res int) (*ingestPlan, e
 	return r.ingest.put(key, ip), nil
 }
 
-// jpegDecodeScales are the decode factors the JPEG codec offers (full plus
-// the reduced 4x4/2x2/1x1 IDCT reconstructions).
-var jpegDecodeScales = jpeg.SupportedScales()
+// decodeScales lists the reduced decode factors the joint plan search may
+// choose from for one codec: only JPEG decodes at reduced resolution.
+func (r *Runtime) decodeScales(codec Codec) []int {
+	if codec == CodecJPEG {
+		return r.jpegScales
+	}
+	return nil
+}
+
+// servingMean and servingStd are the normalization every served model
+// assumes: the plain [0,1] scaling of models trained with internal/data.
+var (
+	servingMean = [3]float32{0, 0, 0}
+	servingStd  = [3]float32{1, 1, 1}
+)
+
+// serveSpec is preproc.ServeSpec under the serving normalization.
+func serveSpec(w, h, res int, decodeScales []int) preproc.Spec {
+	return preproc.ServeSpec(w, h, res, servingMean, servingStd, decodeScales)
+}
 
 // roiGeometry maps the post-resize central crop for a res-input model back
 // to source pixels of a w x h image, returning the ROI and its MCU-aligned
@@ -595,10 +550,9 @@ func (r *Runtime) prepJob(ws *engine.WorkerState, job engine.Job, out *tensor.Te
 // execFunc builds the engine execution callback: a model forward whose
 // outputs are routed to each sample's originating request. The engine
 // never mixes shape classes in a batch, so the batch's zoo entry is the
-// one its first ref's request chose. With a compiled plan, forwards from
-// different engine streams run concurrently up to the ExecParallel bound;
-// the reference path serializes behind the entry's execMu because the
-// model's layers carry mutable per-forward caches.
+// one its first ref's request chose. Compiled plans are reentrant, so
+// forwards from different engine streams run concurrently up to the
+// ExecParallel bound.
 func (r *Runtime) execFunc() engine.BatchFunc {
 	return func(batch *tensor.Tensor, refs []engine.Ref) error {
 		if len(refs) == 0 {
@@ -609,34 +563,22 @@ func (r *Runtime) execFunc() engine.BatchFunc {
 			return fmt.Errorf("smol: sample %d carries no request state", refs[0].Index)
 		}
 		ent := first.entry
-		var out []int
-		if ent.plan != nil || ent.qplan != nil {
-			n := batch.Shape[0]
-			pooled, _ := ent.preds.Get().(*[]int)
-			if pooled == nil || cap(*pooled) < n {
-				pooled = new([]int)
-				*pooled = make([]int, n)
-			}
-			// The pooled buffer goes back on every exit path — error,
-			// panic, or success — and the closure releases the semaphore
-			// slot even if the forward panics, so a poisoned batch can't
-			// leak execution capacity.
-			defer ent.preds.Put(pooled)
-			out = (*pooled)[:n]
-			func() {
-				r.execSem <- struct{}{}
-				defer func() { <-r.execSem }()
-				if ent.qplan != nil {
-					ent.qplan.PredictInto(batch, out)
-				} else {
-					ent.plan.PredictInto(batch, out)
-				}
-			}()
-		} else {
-			ent.execMu.Lock()
-			out = ent.Model.Predict(batch)
-			ent.execMu.Unlock()
+		n := batch.Shape[0]
+		pooled, _ := ent.preds.Get().(*[]int)
+		if pooled == nil || cap(*pooled) < n {
+			pooled = new([]int)
+			*pooled = make([]int, n)
 		}
+		// The pooled buffer goes back on every exit path — error, panic, or
+		// success — and the closure releases the semaphore slot even if the
+		// forward panics, so a poisoned batch can't leak execution capacity.
+		defer ent.preds.Put(pooled)
+		out := (*pooled)[:n]
+		func() {
+			r.execSem <- struct{}{}
+			defer func() { <-r.execSem }()
+			ent.exec.PredictInto(batch, out)
+		}()
 		for i, ref := range refs {
 			cr, ok := ref.Tag.(*classifyReq)
 			if !ok {

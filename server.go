@@ -14,12 +14,11 @@ import (
 // (accuracy floor, latency ceiling, or max throughput) picks a zoo entry,
 // decode scale, and preprocessing chain jointly, and the engine keeps a
 // shape class per entry so requests with different targets share the warm
-// pipeline without sharing batches. When a model compiles (see
-// nn.Compile), its batches execute through the reentrant compiled
-// inference plan, so different engine streams run model forwards in
-// parallel up to RuntimeConfig.ExecParallel instead of serializing behind
-// a global lock. Samples from different requests with the same chosen
-// entry may share accelerator batches; results, per-image
+// pipeline without sharing batches. Every entry's batches execute through
+// its reentrant compiled inference plan (see nn.Compile), so different
+// engine streams run model forwards in parallel up to
+// RuntimeConfig.ExecParallel. Samples from different requests with the
+// same chosen entry may share accelerator batches; results, per-image
 // decode/preprocess errors, and cancellation stay confined to their own
 // request. The one shared failure domain is batch execution: if the model
 // forward fails, every request with a sample in that batch fails, while

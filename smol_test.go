@@ -3,10 +3,12 @@ package smol
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"smol/internal/data"
+	"smol/internal/nn"
 	"smol/internal/tensor"
 )
 
@@ -233,6 +235,18 @@ func TestRuntimeValidation(t *testing.T) {
 	clf, _ := trainTinyClassifier(t)
 	if _, err := NewRuntime(clf.Model, RuntimeConfig{}); err == nil {
 		t.Fatal("missing InputRes should error")
+	}
+}
+
+// TestRuntimeRejectsUncompilableModel: every served model executes through
+// a compiled plan, so a layer nn.Compile does not cover is a construction
+// error that names the zoo entry, not a fallback to a serialized path.
+func TestRuntimeRejectsUncompilableModel(t *testing.T) {
+	clf, _ := trainTinyClassifier(t)
+	layers := append([]nn.Layer{clf.Model.Layers[0], &nn.MaxPool2{}}, clf.Model.Layers[1:]...)
+	_, err := NewRuntime(&nn.Model{Layers: layers}, RuntimeConfig{InputRes: 16})
+	if err == nil || !strings.Contains(err.Error(), "model@16") {
+		t.Fatalf("uncompilable model: got error %v, want one naming entry model@16", err)
 	}
 }
 

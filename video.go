@@ -122,26 +122,17 @@ type AggregateResult struct {
 // is then an upscale of genuinely missing detail).
 const videoUndersizePenalty = 0.02
 
+// videoDeblockPenalty is the accuracy charge for serving a stream with the
+// in-loop deblocking filter disabled (the reduced-fidelity decode of §6.4):
+// a deblock-off plan only wins when the QoS floor still holds after it.
+const videoDeblockPenalty = 0.01
+
 // videoChoice is the part of a video plan the serving loop executes
 // directly rather than reading back out of the ServePlan: which rendition
 // to decode and whether to run the deblocking filter.
 type videoChoice struct {
 	stream  int
 	deblock bool
-}
-
-// deblockPenalty resolves RuntimeConfig.VideoDeblockPenalty: the accuracy
-// cost the planner charges deblock-off plans (negative = never consider
-// them).
-func (r *Runtime) deblockPenalty() (float64, bool) {
-	p := r.cfg.VideoDeblockPenalty
-	if p < 0 {
-		return 0, false
-	}
-	if p == 0 {
-		p = 0.01
-	}
-	return p, true
 }
 
 // videoSelKey memoizes video planner decisions per (stream-geometry set,
@@ -198,26 +189,12 @@ func (r *Runtime) planVideoInfos(infos []vid.Info, qos QoS, stride int, mode Deb
 // selectVideoPlan runs the candidate enumeration and calibrated selection
 // for one memoized video planning class.
 func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode DeblockMode, seek bool) (selection, error) {
-	penalty, allowNoDeblock := r.deblockPenalty()
-	var deblocks []bool
+	deblocks := []bool{true, false}
 	switch mode {
 	case DeblockOn:
 		deblocks = []bool{true}
 	case DeblockOff:
-		// The forced reduced-fidelity mode still answers to the runtime
-		// configuration: an operator who disabled deblock-off plans
-		// disabled them for forced requests too, and an allowed forced
-		// request is costed with the same accuracy penalty the planner
-		// would charge.
-		if !allowNoDeblock {
-			return selection{}, fmt.Errorf("smol: reduced-fidelity decode is disabled (VideoDeblockPenalty < 0)")
-		}
 		deblocks = []bool{false}
-	default:
-		deblocks = []bool{true}
-		if allowNoDeblock {
-			deblocks = append(deblocks, false)
-		}
 	}
 
 	var cands []candidate
@@ -229,7 +206,7 @@ func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode De
 					return selection{}, fmt.Errorf("smol: optimizing preproc for %s on stream %d: %w", ent.name, si, err)
 				}
 				if !deblock {
-					p.DNN.Accuracy -= penalty
+					p.DNN.Accuracy -= videoDeblockPenalty
 				}
 				// A rendition whose short edge undershoots the model's
 				// resize target upscales — information the DNN input wants
@@ -255,7 +232,7 @@ func (r *Runtime) selectVideoPlan(infos []vid.Info, qos QoS, stride int, mode De
 // framesPerSample decoded frames per classified one (capped at the GOP
 // prefix under seek), and the jointly optimized preprocessing chain.
 func (r *Runtime) videoPlan(ent *rtEntry, stream int, info vid.Info, deblock bool, framesPerSample int, seek bool) (costmodel.Plan, error) {
-	spec := preproc.ServeSpec(info.W, info.H, ent.InputRes, r.cfg.Mean, r.cfg.Std, nil)
+	spec := serveSpec(info.W, info.H, ent.InputRes, nil)
 	pplan, err := preproc.Optimize(spec)
 	if err != nil {
 		return costmodel.Plan{}, err

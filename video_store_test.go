@@ -46,11 +46,13 @@ func TestClassifyVideoStoredMatchesSequential(t *testing.T) {
 	run := func(disable bool, workers, stride int) VideoResult {
 		t.Helper()
 		rt, err := NewRuntime(clf.Model, RuntimeConfig{
-			InputRes: 16, BatchSize: 8, Workers: 2,
-			DisableGOPSeek: disable, VideoDecodeWorkers: workers,
+			InputRes: 16, BatchSize: 8, Workers: 2, DisableGOPSeek: disable,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if workers > 0 {
+			rt.decodeWorkers = workers
 		}
 		srv, err := rt.Serve()
 		if err != nil {
@@ -136,10 +138,11 @@ func TestClassifyVideoStoredConcurrent(t *testing.T) {
 	frames, _ := renderClassVideo(t, 36, 48)
 	enc := encodeClassVideo(t, frames, 85, 5)
 	_, v := openTestStore(t, enc, IngestOptions{})
-	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2, VideoDecodeWorkers: 2})
+	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.decodeWorkers = 2
 	srv, err := rt.Serve()
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +187,11 @@ func TestClassifyVideoStoredCancel(t *testing.T) {
 	frames, _ := renderClassVideo(t, 60, 48)
 	enc := encodeClassVideo(t, frames, 85, 4)
 	_, v := openTestStore(t, enc, IngestOptions{})
-	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2, VideoDecodeWorkers: 3})
+	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.decodeWorkers = 3
 	srv, err := rt.Serve()
 	if err != nil {
 		t.Fatal(err)
@@ -260,12 +264,12 @@ func TestClassifyVideoRawMatchesStored(t *testing.T) {
 
 	for _, disable := range []bool{false, true} {
 		rt, err := NewRuntime(clf.Model, RuntimeConfig{
-			InputRes: 16, BatchSize: 8, Workers: 2,
-			DisableGOPSeek: disable, VideoDecodeWorkers: 3,
+			InputRes: 16, BatchSize: 8, Workers: 2, DisableGOPSeek: disable,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt.decodeWorkers = 3
 		srv, err := rt.Serve()
 		if err != nil {
 			t.Fatal(err)

@@ -117,11 +117,13 @@ func TestClassifyVideoSeekMatchesSequential(t *testing.T) {
 	run := func(disable bool, workers, stride int) VideoResult {
 		t.Helper()
 		rt, err := NewRuntime(clf.Model, RuntimeConfig{
-			InputRes: 16, BatchSize: 8, Workers: 2,
-			DisableGOPSeek: disable, VideoDecodeWorkers: workers,
+			InputRes: 16, BatchSize: 8, Workers: 2, DisableGOPSeek: disable,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if workers > 0 {
+			rt.decodeWorkers = workers
 		}
 		srv, err := rt.Serve()
 		if err != nil {
@@ -289,30 +291,6 @@ func TestVideoPlannerJointChoice(t *testing.T) {
 	}
 	if inherited.Plan.Entry != "resnet-a@16" || !inherited.Plan.Deblock {
 		t.Fatalf("default-QoS request ignored the runtime floor: %+v", inherited.Plan)
-	}
-
-	// A runtime that forbids reduced-fidelity decode rejects forced
-	// DeblockOff and never chooses it on its own.
-	rtNoOff, err := NewZooRuntime(zoo, RuntimeConfig{
-		BatchSize: 8, Workers: 2, VideoDeblockPenalty: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvNoOff, err := rtNoOff.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvNoOff.Close()
-	if _, err := srvNoOff.ClassifyVideo(ctx, full, VideoOpts{Deblock: DeblockOff}); err == nil {
-		t.Fatal("forced DeblockOff should fail when deblock-off plans are disabled")
-	}
-	auto, err := srvNoOff.ClassifyVideo(ctx, full, VideoOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !auto.Plan.Deblock {
-		t.Fatal("deblock-off plan chosen despite VideoDeblockPenalty < 0")
 	}
 }
 

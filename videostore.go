@@ -146,7 +146,7 @@ func (v *StoredVideo) Renditions() []VideoInfo {
 // renditions ARE its variants); the chosen stream is then sampled through
 // its GOP index: the request plans its sample positions up front, groups
 // them by containing GOP, and fans disjoint GOPs across a bounded pool of
-// resident decoders (RuntimeConfig.VideoDecodeWorkers). Each GOP is an
+// resident decoders (min(GOMAXPROCS, 4)). Each GOP is an
 // independent decode unit, so the workers reconstruct bit-identically to a
 // sequential decode, and the frames still enter the shared warm engine in
 // frame order. With RuntimeConfig.DisableGOPSeek the request falls back to
@@ -331,7 +331,7 @@ func (s *orderedGOPSource) Next() (engine.Job, bool, error) {
 // engine paces the decode pool just as it paces the sequential path.
 func (s *Server) classifyParallelGOP(ctx context.Context, cr *classifyReq, str store.Stream, stride int, decOpts vid.DecodeOptions) (engine.Stats, vid.DecodeStats, error) {
 	tasks := gopTasks(str.Index, str.Info.Frames, stride)
-	pool := make([]*gopWorker, min(s.rt.videoDecodeWorkers(), len(tasks)))
+	pool := make([]*gopWorker, min(s.rt.decodeWorkers, len(tasks)))
 	for i := range pool {
 		dec, err := vid.NewDecoder(str.Data, decOpts)
 		if err != nil {

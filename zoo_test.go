@@ -262,10 +262,11 @@ func TestServerMixedQoSConcurrent(t *testing.T) {
 // plans.
 func TestIngestPlanCacheLRU(t *testing.T) {
 	clf, _ := trainTinyClassifier(t)
-	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, MaxCachedPlans: 4})
+	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.ingest.init(4)
 	hot := ingestKey{w: 160, h: 120, mcu: 8, res: 16}
 	if _, err := rt.ingestFor(hot.w, hot.h, hot.mcu, CodecJPEG, 16); err != nil {
 		t.Fatal(err)
@@ -392,14 +393,12 @@ func TestPlannerROICosting(t *testing.T) {
 		PreprocScale: 1,
 	}
 	sel := func(roi bool) ServePlan {
-		zr, err := NewZooRuntime(zoo, RuntimeConfig{
-			BatchSize: 8, Workers: 2, ROIDecode: roi,
-			// Full decode isolates the ROI effect from scale selection.
-			DisableScaledDecode: true,
-		})
+		zr, err := NewZooRuntime(zoo, RuntimeConfig{BatchSize: 8, Workers: 2, ROIDecode: roi})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Full decode isolates the ROI effect from scale selection.
+		zr.jpegScales = nil
 		zr.calOnce.Do(func() { zr.cal = pin })
 		// A wide input whose central crop covers a small fraction.
 		s, err := zr.selectPlan(selKey{w: 1280, h: 240, qos: QoS{MinAccuracy: 0.9}})
