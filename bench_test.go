@@ -705,9 +705,9 @@ func BenchmarkServeIngestHD(b *testing.B) {
 		b.Fatal(err)
 	}
 	const reqImages = 32
-	inputs := make([]EncodedImage, reqImages)
+	inputs := make([]MediaInput, reqImages)
 	for i := range inputs {
-		inputs[i] = EncodedImage{Data: enc}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: enc}
 	}
 	for _, bc := range []struct {
 		name string
@@ -730,12 +730,12 @@ func BenchmarkServeIngestHD(b *testing.B) {
 			}
 			defer srv.Close()
 			ctx := context.Background()
-			if _, err := srv.Classify(ctx, inputs[:2]); err != nil { // warm
+			if _, err := srv.ClassifyMedia(ctx, inputs[:2], QoS{}); err != nil { // warm
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := srv.Classify(ctx, inputs); err != nil {
+				if _, err := srv.ClassifyMedia(ctx, inputs, QoS{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -788,9 +788,9 @@ func BenchmarkServePlannerHD(b *testing.B) {
 	}
 	defer srv.Close()
 	const reqImages = 32
-	inputs := make([]EncodedImage, reqImages)
+	inputs := make([]MediaInput, reqImages)
 	for i := range inputs {
-		inputs[i] = EncodedImage{Data: enc}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: enc}
 	}
 	ctx := context.Background()
 	for _, bc := range []struct {
@@ -802,13 +802,13 @@ func BenchmarkServePlannerHD(b *testing.B) {
 		{"floor-relaxed", QoS{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			res, err := srv.ClassifyQoS(ctx, inputs[:2], bc.qos) // warm this entry's pools
+			res, err := srv.ClassifyMedia(ctx, inputs[:2], bc.qos) // warm this entry's pools
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := srv.ClassifyQoS(ctx, inputs, bc.qos); err != nil {
+				if _, err := srv.ClassifyMedia(ctx, inputs, bc.qos); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,20 +1,15 @@
 // Command smol-query runs one visual analytics query end to end.
 //
-// Classification (trains a model, encodes the test set, classifies through
-// the pipelined engine):
+// Classification (trains once, then holds a warm streaming pipeline and
+// fires -requests concurrent classification requests at it — the
+// latency-constrained deployment of §3.1; -requests 1 sends one):
 //
-//	smol-query -type classify -dataset bike-bird
+//	smol-query -type classify -dataset bike-bird -requests 4
 //
 // Aggregation (BlazeIt-style control-variate mean estimation over a
 // synthetic video with real encode/decode):
 //
 //	smol-query -type aggregate -dataset taipei -err 0.03
-//
-// Serving mode (trains once, then holds a warm streaming pipeline and fires
-// concurrent classification requests at it — the latency-constrained
-// deployment of §3.1):
-//
-//	smol-query -type classify -dataset bike-bird -serve -requests 4
 //
 // Planner mode (trains a multi-entry model zoo and lets the serving
 // planner jointly pick model variant, input resolution, decode scale,
@@ -25,9 +20,9 @@
 // throughput. -nosimd forces the portable f32 kernel, which is
 // bit-identical to the AVX2 tier, so it changes throughput only):
 //
-//	smol-query -type classify -dataset bike-bird -serve -zoo -minacc 0.8 -explain
-//	smol-query -type classify -dataset bike-bird -serve -zoo -int8=false -explain
-//	smol-query -type classify -dataset bike-bird -serve -zoo -nosimd -explain
+//	smol-query -type classify -dataset bike-bird -zoo -minacc 0.8 -explain
+//	smol-query -type classify -dataset bike-bird -zoo -int8=false -explain
+//	smol-query -type classify -dataset bike-bird -zoo -nosimd -explain
 //
 // Video serving mode (classifies an SVID file — e.g. one written by
 // smol-datagen -videos — through the warm engine; the video planner picks
@@ -78,11 +73,10 @@ func main() {
 	qtype := flag.String("type", "classify", "query type: classify or aggregate")
 	dataset := flag.String("dataset", "bike-bird", "dataset name")
 	errTarget := flag.Float64("err", 0.03, "aggregation error target")
-	serve := flag.Bool("serve", false, "classify through a warm streaming server with concurrent requests")
-	requests := flag.Int("requests", 4, "concurrent requests in -serve mode")
+	requests := flag.Int("requests", 4, "concurrent classification requests against the warm server")
 	execPar := flag.Int("execpar", 0, "max concurrent model executions (0 = 2)")
 	roiDecode := flag.Bool("roidecode", false, "partially decode only the central crop region (Algorithm 1)")
-	zoo := flag.Bool("zoo", false, "train a multi-entry model zoo and serve through the joint accuracy/throughput planner (-serve mode)")
+	zoo := flag.Bool("zoo", false, "train a multi-entry model zoo and serve through the joint accuracy/throughput planner")
 	useInt8 := flag.Bool("int8", true, "quantize every zoo entry to an int8 twin (zoo mode); the planner routes to the fast tier when the accuracy floor allows (-int8=false is the f32-only A/B)")
 	noSIMD := flag.Bool("nosimd", false, "force the portable f32 GEMM kernel instead of AVX2 (bit-identical results; the scalar-tier A/B oracle)")
 	minAcc := flag.Float64("minacc", 0, "accuracy floor for the serving planner (0 = max throughput)")
@@ -104,12 +98,10 @@ func main() {
 		tensor.SetF32SIMD(false)
 	}
 
-	// The video, serving, and selection modes partition the flag surface;
-	// reject contradictory combinations up front with a usage error instead
-	// of silently ignoring flags.
+	// The video and selection modes partition the flag surface; reject
+	// contradictory combinations up front with a usage error instead of
+	// silently ignoring flags.
 	switch {
-	case *serve && *video != "":
-		log.Fatalf("smol-query: -serve and -video are mutually exclusive (-video always serves through a warm engine); drop one")
 	case *storeDir != "" && *video == "":
 		log.Fatalf("smol-query: -store requires -video (the media store ingests and serves video streams)")
 	case *lowres != "" && *video == "":
@@ -128,10 +120,8 @@ func main() {
 		} else if *video != "" {
 			videoClassify(*video, *lowres, *storeDir, *dataset, *stride, *execPar, *roiDecode,
 				*zoo, *useInt8, *noSeek, *minAcc, *explain)
-		} else if *serve {
-			serveClassify(*dataset, *requests, *execPar, *roiDecode, *zoo, *useInt8, *minAcc, *explain)
 		} else {
-			classify(*dataset, *roiDecode)
+			serveClassify(*dataset, *requests, *execPar, *roiDecode, *zoo, *useInt8, *minAcc, *explain)
 		}
 	case "aggregate":
 		aggregate(*dataset, *errTarget)
@@ -140,55 +130,9 @@ func main() {
 	}
 }
 
-func classify(name string, roiDecode bool) {
-	spec, err := data.ImageDataset(name)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds := data.Generate(spec)
-	fmt.Printf("dataset %s: %d classes, %d train / %d test at %dpx\n",
-		spec.Name, spec.NumClasses, len(ds.Train), len(ds.Test), spec.FullRes)
-
-	train := make([]smol.LabeledImage, len(ds.Train))
-	for i, li := range ds.Train {
-		train[i] = smol.LabeledImage{Image: li.Image, Label: li.Label}
-	}
-	fmt.Println("training resnet-a...")
-	start := time.Now()
-	clf, err := smol.TrainClassifier(train, spec.NumClasses, smol.TrainOptions{Epochs: 3, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("trained in %s\n", time.Since(start).Round(time.Second))
-
-	inputs := make([]smol.EncodedImage, len(ds.Test))
-	for i, li := range ds.Test {
-		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
-	}
-	rt, err := smol.NewRuntime(clf.Model, smol.RuntimeConfig{
-		InputRes: spec.FullRes, BatchSize: 32, ROIDecode: roiDecode,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := rt.Classify(inputs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	correct := 0
-	for i, p := range res.Predictions {
-		if p == ds.Test[i].Label {
-			correct++
-		}
-	}
-	fmt.Printf("accuracy %.1f%% over %d images, engine %.0f im/s (%d batches)\n",
-		100*float64(correct)/float64(len(inputs)), len(inputs),
-		res.Stats.Throughput, res.Stats.Batches)
-}
-
 // trainServingRuntime generates the synthetic image dataset, trains a
 // single resnet-a (or a multi-entry zoo, with useZoo), and builds the
-// serving runtime from cfg — the setup shared by the -serve and -video
+// serving runtime from cfg — the setup shared by the image and -video
 // modes, so runtime flags (-execpar, -roidecode) behave identically in both.
 func trainServingRuntime(dataset string, useZoo, useInt8 bool, cfg smol.RuntimeConfig) (*smol.Runtime, data.DatasetSpec, *data.Dataset) {
 	spec, err := data.ImageDataset(dataset)
@@ -251,15 +195,15 @@ func serveClassify(name string, requests, execPar int, roiDecode, useZoo, useInt
 	}
 	rt, _, ds := trainServingRuntime(name, useZoo, useInt8, smol.RuntimeConfig{
 		BatchSize:    32,
-		QoS:          smol.QoS{MinAccuracy: minAcc},
 		ExecParallel: execPar,
 		ROIDecode:    roiDecode,
 	})
 
-	inputs := make([]smol.EncodedImage, len(ds.Test))
+	inputs := make([]smol.MediaInput, len(ds.Test))
 	for i, li := range ds.Test {
-		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
+		inputs[i] = smol.MediaInput{Codec: smol.CodecJPEG, Data: smol.EncodeJPEG(li.Image, 90)}
 	}
+	qos := smol.QoS{MinAccuracy: minAcc}
 	fmt.Printf("ingest: ROI decode %v\n", roiDecode)
 	srv, err := rt.Serve()
 	if err != nil {
@@ -277,7 +221,7 @@ func serveClassify(name string, requests, execPar int, roiDecode, useZoo, useInt
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = srv.Classify(context.Background(), inputs)
+			results[r], errs[r] = srv.ClassifyMedia(context.Background(), inputs, qos)
 		}(r)
 	}
 	wg.Wait()
@@ -335,20 +279,19 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 		log.Fatal(err)
 	}
 	fmt.Printf("video %s: %d frames at %dx%d, GOP %d\n", path, info.Frames, info.W, info.H, info.GOP)
-	var variants [][]byte
+	var renditions [][]byte
 	if lowPath != "" {
 		low, err := os.ReadFile(lowPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		variants = append(variants, low)
+		renditions = append(renditions, low)
 		if li, err := smol.ProbeVideo(low); err == nil {
 			fmt.Printf("low-res rendition %s: %dx%d\n", lowPath, li.W, li.H)
 		}
 	}
 	rt, _, _ := trainServingRuntime(dataset, useZoo, useInt8, smol.RuntimeConfig{
 		BatchSize:      32,
-		QoS:            smol.QoS{MinAccuracy: minAcc},
 		ExecParallel:   execPar,
 		ROIDecode:      roiDecode,
 		DisableGOPSeek: noSeek,
@@ -359,8 +302,7 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	var res smol.VideoResult
-	var wall time.Time
+	var sv *smol.StoredVideo
 	if storeDir != "" {
 		ms, err := smol.OpenMediaStore(storeDir)
 		if err != nil {
@@ -368,8 +310,8 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 		}
 		defer ms.Close()
 		name := storeName(path)
-		sv, ok := ms.Video(name)
-		if !ok {
+		var ok bool
+		if sv, ok = ms.Video(name); !ok {
 			ingest := time.Now()
 			if sv, err = ms.IngestVideo(name, streamData, smol.IngestOptions{}); err != nil {
 				log.Fatal(err)
@@ -379,24 +321,20 @@ func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int,
 		} else {
 			fmt.Printf("serving %q already ingested in %s\n", name, storeDir)
 		}
-		wall = time.Now()
-		res, err = srv.ClassifyVideoStored(context.Background(), sv, smol.VideoOpts{
-			Stride: stride,
-			QoS:    smol.QoS{MinAccuracy: minAcc},
-		})
-		if err != nil {
+	}
+	wall := time.Now()
+	if sv == nil {
+		// Raw bytes are indexed per request, inside the timed span.
+		if sv, err = smol.IndexVideo(streamData, renditions...); err != nil {
 			log.Fatal(err)
 		}
-	} else {
-		wall = time.Now()
-		res, err = srv.ClassifyVideo(context.Background(), streamData, smol.VideoOpts{
-			Stride:   stride,
-			QoS:      smol.QoS{MinAccuracy: minAcc},
-			Variants: variants,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	}
+	res, err := srv.ClassifyVideoStored(context.Background(), sv, smol.VideoOpts{
+		Stride: stride,
+		QoS:    smol.QoS{MinAccuracy: minAcc},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	elapsed := time.Since(wall)
 	hist := map[int]int{}
@@ -441,7 +379,6 @@ func videoSelect(path, storeDir, dataset string, class, limit, stride, execPar i
 	fmt.Printf("video %s: %d frames at %dx%d, GOP %d\n", path, info.Frames, info.W, info.H, info.GOP)
 	rt, _, _ := trainServingRuntime(dataset, useZoo, useInt8, smol.RuntimeConfig{
 		BatchSize:           32,
-		QoS:                 smol.QoS{MinAccuracy: minAcc},
 		ExecParallel:        execPar,
 		DisableGOPSeek:      noSeek,
 		DisableProxyCascade: noCascade,

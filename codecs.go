@@ -23,8 +23,9 @@ const (
 	// CodecPNG is the lossless spng codec.
 	CodecPNG
 	// CodecVideo is the H.264-like SVID video codec (I/P frames, in-loop
-	// deblocking). Video inputs are streams of frames; serve them with
-	// Server.ClassifyVideo or Server.EstimateMean rather than Classify.
+	// deblocking). Video inputs are streams of frames; index them with
+	// IndexVideo and serve them with the Server's stored-video methods
+	// rather than ClassifyMedia.
 	CodecVideo
 )
 
@@ -43,10 +44,10 @@ func (c Codec) String() string {
 
 // MediaInput is one encoded input tagged with its codec: the media-generic
 // unit the serving stack plans for and decodes. Still images (JPEG, PNG)
-// flow through Classify/ClassifyMedia. A video stream is a whole request,
-// not one sample, so ClassifyMedia rejects CodecVideo: ClassifyVideo and
-// EstimateMean take the stream's bytes and serve them through the stored
-// video path over a per-request GOP index.
+// flow through ClassifyMedia. A video stream is a whole request, not one
+// sample, so ClassifyMedia rejects CodecVideo: IndexVideo turns the
+// stream's bytes into a StoredVideo, which ClassifyVideoStored,
+// EstimateMeanStored and SelectVideo serve through its GOP index.
 type MediaInput struct {
 	Codec Codec
 	Data  []byte

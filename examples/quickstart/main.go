@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -36,17 +37,23 @@ func main() {
 
 	// 3. Encode the test set as JPEGs — the form data arrives in at
 	// inference time.
-	inputs := make([]smol.EncodedImage, len(test))
+	inputs := make([]smol.MediaInput, len(test))
 	for i, li := range test {
-		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
+		inputs[i] = smol.MediaInput{Codec: smol.CodecJPEG, Data: smol.EncodeJPEG(li.Image, 90)}
 	}
 
-	// 4. Classify through the pipelined engine.
+	// 4. Classify through the pipelined engine: Serve brings it up, and
+	// the zero QoS asks for maximum throughput.
 	rt, err := smol.NewRuntime(clf.Model, smol.RuntimeConfig{InputRes: res, BatchSize: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	result, err := rt.Classify(inputs)
+	srv, err := rt.Serve()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
+	result, err := srv.ClassifyMedia(context.Background(), inputs, smol.QoS{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Streaming: serve many concurrent classification requests from one warm
-// engine. A one-shot Runtime.Classify builds and tears down the whole
-// pipeline — tensor pool, pinned staging arena, worker goroutines — per
-// call. Runtime.Serve instead keeps those resources resident, so a stream
-// of requests shares them: the serving posture the paper's
+// engine. Runtime.Serve brings the pipeline — tensor pools, pinned staging
+// arenas, worker goroutines — up once and keeps it resident, so a stream
+// of requests shares it: the serving posture the paper's
 // latency-constrained deployment mode (§3.1) assumes.
 //
 // Serve also executes batches in parallel: the runtime compiles the model
@@ -50,10 +49,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inputs := make([]smol.EncodedImage, len(test))
+	inputs := make([]smol.MediaInput, len(test))
 	for i, li := range test {
-		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
+		inputs[i] = smol.MediaInput{Codec: smol.CodecJPEG, Data: smol.EncodeJPEG(li.Image, 90)}
 	}
+	var maxThroughput smol.QoS // the zero target: fastest plan, no floor
 
 	// 2. Bring up the warm server once; all requests below share it.
 	rt, err := smol.NewRuntime(clf.Model, smol.RuntimeConfig{InputRes: res, BatchSize: 16})
@@ -74,7 +74,7 @@ func main() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resu, err := srv.Classify(context.Background(), inputs)
+			resu, err := srv.ClassifyMedia(context.Background(), inputs, maxThroughput)
 			if err != nil {
 				log.Fatalf("request %d: %v", c, err)
 			}
@@ -93,7 +93,7 @@ func main() {
 
 	// 4. A follow-up request rides the warm pool: no new allocations, only
 	// reuses (PoolAllocs/PoolReuses are cumulative over the server's life).
-	warm, err := srv.Classify(context.Background(), inputs)
+	warm, err := srv.ClassifyMedia(context.Background(), inputs, maxThroughput)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,13 +102,13 @@ func main() {
 
 	// 5. Cancellation: a huge request is cut off mid-stream; the server
 	// keeps serving everyone else.
-	big := make([]smol.EncodedImage, 20000)
+	big := make([]smol.MediaInput, 20000)
 	for i := range big {
 		big[i] = inputs[i%len(inputs)]
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	_, err = srv.Classify(ctx, big)
+	_, err = srv.ClassifyMedia(ctx, big, maxThroughput)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		fmt.Println("big request cancelled mid-stream, as intended")
@@ -117,7 +117,7 @@ func main() {
 	default:
 		log.Fatal(err)
 	}
-	if _, err := srv.Classify(context.Background(), inputs); err != nil {
+	if _, err := srv.ClassifyMedia(context.Background(), inputs, maxThroughput); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("server healthy after cancellation")

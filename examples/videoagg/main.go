@@ -2,15 +2,17 @@
 // answered end to end through the public serving API. A synthetic
 // fixed-camera video is encoded with the real H.264-like codec at two
 // natively-stored resolutions; a small classifier is trained so that its
-// predicted class is the per-frame object count; and Server.EstimateMean
-// runs the control-variate estimator — a cheap connected-components proxy
+// predicted class is the per-frame object count; and
+// Server.EstimateMeanStored runs the control-variate estimator — a cheap connected-components proxy
 // on every decoded frame, the trained model (through the warm engine) only
 // on the sampled frames the confidence interval demands.
 //
 // Compare examples/zoo (still-image planner) and examples/streaming (warm
-// concurrent serving); this example is the video workload: ClassifyVideo
-// for per-frame predictions with a jointly planned decode fidelity, and
-// EstimateMean for aggregation at a fraction of the target-model cost.
+// concurrent serving); this example is the video workload: IndexVideo
+// turns the raw bytes of both renditions into one handle, then
+// ClassifyVideoStored gives per-frame predictions with a jointly planned
+// decode fidelity, and EstimateMeanStored aggregates at a fraction of the
+// target-model cost.
 package main
 
 import (
@@ -142,16 +144,17 @@ func main() {
 	}
 	defer srv.Close()
 	ctx := context.Background()
-
-	// Per-frame classification with the planner choosing decode fidelity.
-	res, err := srv.ClassifyVideo(ctx, full, smol.VideoOpts{
-		Stride:   5,
-		Variants: [][]byte{low},
-	})
+	video, err := smol.IndexVideo(full, low)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nClassifyVideo (stride 5): %d frames classified, plan: %s\n",
+
+	// Per-frame classification with the planner choosing decode fidelity.
+	res, err := srv.ClassifyVideoStored(ctx, video, smol.VideoOpts{Stride: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nClassifyVideoStored (stride 5): %d frames classified, plan: %s\n",
 		len(res.Predictions), res.Plan)
 	fmt.Printf("  rendition %d, deblock %v, decoder did %d IDCT blocks / %d deblocked edges\n",
 		res.Plan.Stream, res.Plan.Deblock, res.Decode.BlocksIDCT, res.Decode.DeblockedEdges)
@@ -159,15 +162,14 @@ func main() {
 	// Aggregation: estimate the model's mean count without running it on
 	// every frame.
 	for _, errTarget := range []float64{0.30, 0.15} {
-		agg, err := srv.EstimateMean(ctx, full, smol.AggregateOpts{
+		agg, err := srv.EstimateMeanStored(ctx, video, smol.AggregateOpts{
 			ErrTarget: errTarget,
-			Variants:  [][]byte{low},
 			Seed:      9,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nEstimateMean (err target %.2f): estimate %.3f +/- %.3f objects/frame\n",
+		fmt.Printf("\nEstimateMeanStored (err target %.2f): estimate %.3f +/- %.3f objects/frame\n",
 			errTarget, agg.Estimate, agg.HalfWidth)
 		fmt.Printf("  %d of %d target-model invocations (%.0f%% saved), true mean %.3f\n",
 			agg.TargetInvocations, agg.Frames,

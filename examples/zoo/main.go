@@ -72,9 +72,9 @@ func main() {
 		c := i % classes
 		test = append(test, smol.LabeledImage{Image: data.RenderImage(rng, c, classes, 2*fullRes), Label: c})
 	}
-	inputs := make([]smol.EncodedImage, len(test))
+	inputs := make([]smol.MediaInput, len(test))
 	for i, li := range test {
-		inputs[i] = smol.EncodedImage{Data: smol.EncodeJPEG(li.Image, 90)}
+		inputs[i] = smol.MediaInput{Codec: smol.CodecJPEG, Data: smol.EncodeJPEG(li.Image, 90)}
 	}
 
 	// 3. Sweep accuracy floors through the planner. A strict floor pins
@@ -86,11 +86,11 @@ func main() {
 	// relaxed tier's hardware speed.
 	best, _ := zoo.Best()
 	floors := []float64{best.Accuracy, best.Accuracy - 0.1, 0}
-	if _, err := srv.Classify(context.Background(), inputs[:4]); err != nil { // warm the pools
+	if _, err := srv.ClassifyMedia(context.Background(), inputs[:4], smol.QoS{}); err != nil { // warm the pools
 		log.Fatal(err)
 	}
 	for _, floor := range floors {
-		res, err := srv.ClassifyQoS(context.Background(), inputs, smol.QoS{MinAccuracy: floor})
+		res, err := srv.ClassifyMedia(context.Background(), inputs, smol.QoS{MinAccuracy: floor})
 		if err != nil {
 			log.Fatal(err)
 		}

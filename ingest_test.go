@@ -17,14 +17,14 @@ import (
 // renderLargeInputs draws class-bearing images well above the model's
 // input resolution, the regime where the ingest planner should choose a
 // reduced decode scale.
-func renderLargeInputs(n, res int) ([]EncodedImage, []*img.Image) {
+func renderLargeInputs(n, res int) ([]MediaInput, []*img.Image) {
 	rng := rand.New(rand.NewSource(77))
-	inputs := make([]EncodedImage, n)
+	inputs := make([]MediaInput, n)
 	images := make([]*img.Image, n)
 	for i := range inputs {
 		m := data.RenderImage(rng, i%2, 2, res)
 		images[i] = m
-		inputs[i] = EncodedImage{Data: EncodeJPEG(m, 95)}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: EncodeJPEG(m, 95)}
 	}
 	return inputs, images
 }
@@ -198,7 +198,7 @@ func TestCompiledIngestMatchesNaivePath(t *testing.T) {
 			rt.jpegScales = nil
 		}
 		inputs, _ := renderLargeInputs(24, 96)
-		res, err := rt.Classify(inputs)
+		res, err := classifyOnce(rt, inputs, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestScaledIngestPreservesAccuracy(t *testing.T) {
 		if full {
 			rt.jpegScales = nil
 		}
-		res, err := rt.Classify(inputs)
+		res, err := classifyOnce(rt, inputs, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestIngestWarmPathAllocates0(t *testing.T) {
 		inputs, _ := renderLargeInputs(1, 96)
 		prep := rt.prepFunc()
 		ws := &engine.WorkerState{}
-		job := engine.Job{Index: 0, Tag: &classifyReq{inputs: mediaInputs(inputs), preds: make([]int, 1), entry: rt.entries[0]}}
+		job := engine.Job{Index: 0, Tag: &classifyReq{inputs: inputs, preds: make([]int, 1), entry: rt.entries[0]}}
 		out := tensor.New(3, 16, 16)
 		run := func() {
 			if err := prep(ws, job, out); err != nil {

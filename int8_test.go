@@ -142,14 +142,14 @@ func TestInt8ZooSaveLoad(t *testing.T) {
 // classifyThroughInt8 serves one request through a runtime whose planner is
 // pinned to make the int8 twins strictly cheaper, so the relaxed floor
 // deterministically routes to the quantized tier.
-func classifyThroughInt8(t *testing.T, z *Zoo, inputs []EncodedImage) ClassifyResult {
+func classifyThroughInt8(t *testing.T, z *Zoo, inputs []MediaInput) ClassifyResult {
 	t.Helper()
 	zr, err := NewZooRuntime(z, RuntimeConfig{BatchSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	zr.calOnce.Do(func() { zr.cal = pinnedInt8Calibration(z) })
-	res, err := zr.ClassifyQoS(inputs, QoS{MinAccuracy: 0.5})
+	res, err := classifyOnce(zr, inputs, QoS{MinAccuracy: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestInt8StrictFloorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := single.Classify(inputs)
+	ref, err := classifyOnce(single, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestInt8StrictFloorBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	zr.calOnce.Do(func() { zr.cal = pinnedInt8Calibration(z) })
-	res, err := zr.ClassifyQoS(inputs, QoS{MinAccuracy: best.Accuracy})
+	res, err := classifyOnce(zr, inputs, QoS{MinAccuracy: best.Accuracy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestInt8ServerConcurrent(t *testing.T) {
 	}
 	defer srv.Close()
 
-	want, err := srv.ClassifyQoS(context.Background(), inputs, QoS{MinAccuracy: 0.5})
+	want, err := srv.ClassifyMedia(context.Background(), inputs, QoS{MinAccuracy: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestInt8ServerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			results[c], errs[c] = srv.ClassifyQoS(context.Background(), inputs, QoS{MinAccuracy: 0.5})
+			results[c], errs[c] = srv.ClassifyMedia(context.Background(), inputs, QoS{MinAccuracy: 0.5})
 		}(c)
 	}
 	wg.Wait()

@@ -157,6 +157,11 @@ func DecodeHeader(data []byte) (w, h int, err error) {
 	return w, h, nil
 }
 
+// maxDeflateRatio is DEFLATE's maximum expansion: a 258-byte match coded in
+// two bits, so no valid stream inflates to more than 1032 bytes per
+// compressed byte.
+const maxDeflateRatio = 1032
+
 // DecodeRows decompresses only the first maxRows rows (all rows when
 // maxRows <= 0), returning an image of exactly the decoded height. Because
 // rows are stored top-to-bottom in one DEFLATE stream, stopping early skips
@@ -169,6 +174,14 @@ func DecodeRows(data []byte, maxRows int) (*img.Image, *DecodeStats, error) {
 	rows := h
 	if maxRows > 0 && maxRows < h {
 		rows = maxRows
+	}
+	// Each row inflates to a filter byte plus 3w pixel bytes. A payload too
+	// short to inflate to that much even at DEFLATE's maximum ratio cannot
+	// hold the rows, so it is refused before the image is allocated.
+	need, payload := int64(rows)*int64(1+3*w), int64(len(data)-12)
+	if need > maxDeflateRatio*payload {
+		return nil, nil, fmt.Errorf("spng: %dx%d header declares %d bytes for %d rows, more than a %d-byte payload can inflate to",
+			w, h, need, rows, payload)
 	}
 	stats := &DecodeStats{RowsTotal: h}
 	fr := flate.NewReader(bytes.NewReader(data[12:]))

@@ -32,6 +32,9 @@ func TestRoundTripLossless(t *testing.T) {
 		noiseImage(rng, 31, 17),
 		gradientImage(1, 1),
 		gradientImage(7, 128),
+		// A flat image compresses close to DEFLATE's maximum ratio, which
+		// DecodeRows's payload bound must still admit.
+		img.New(512, 512),
 	} {
 		data := Encode(m, 0)
 		got, err := Decode(data)

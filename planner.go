@@ -20,10 +20,11 @@ import (
 	"smol/internal/tensor"
 )
 
-// QoS is a serving quality target, set per runtime (RuntimeConfig.QoS) and
-// overridable per request (Server.ClassifyQoS). The zero value asks for
-// maximum throughput: the planner picks the cheapest zoo entry with no
-// accuracy floor.
+// QoS is a serving quality target, supplied with every request
+// (Server.ClassifyMedia's argument, the QoS field of VideoOpts,
+// AggregateOpts and SelectOpts). The zero value asks for maximum
+// throughput: the planner picks the cheapest zoo entry with no accuracy
+// floor.
 type QoS struct {
 	// MinAccuracy requires the chosen zoo entry's measured validation
 	// accuracy to be at least this floor; among feasible entries the
@@ -85,9 +86,9 @@ type ServePlan struct {
 	// decode of §6.4). Still-image plans leave it false.
 	Deblock bool
 	// Stream is the natively-stored rendition the video planner routed the
-	// request to: 0 is the primary stream, n > 0 is VideoOpts.Variants[n-1]
-	// (the paper's natively-present low-resolution lever). Still-image
-	// plans leave it 0.
+	// request to: 0 is the primary stream, n > 0 is the StoredVideo's
+	// Renditions()[n-1] (the paper's natively-present low-resolution
+	// lever). Still-image plans leave it 0.
 	Stream int
 	// Preproc names the optimized post-decode operator chain.
 	Preproc string
@@ -261,7 +262,7 @@ func (r *Runtime) planFor(inputs []MediaInput, qos QoS) (*rtEntry, ServePlan, er
 		return best, r.servePlan(best, videoChoice{}, costmodel.Evaluated{Accuracy: best.Accuracy}), nil
 	}
 	if inputs[0].Codec == CodecVideo {
-		return nil, ServePlan{}, fmt.Errorf("smol: video streams are served by ClassifyVideo/EstimateMean, not Classify")
+		return nil, ServePlan{}, fmt.Errorf("smol: video streams are served through IndexVideo and ClassifyVideoStored, not ClassifyMedia")
 	}
 	w, h, err := peekDims(inputs[0])
 	if err != nil {
@@ -598,9 +599,6 @@ func (r *Runtime) planSelect(infos []vid.Info, qos QoS, stride int, mode Deblock
 	}
 	if limit < 0 {
 		limit = 0
-	}
-	if qos == (QoS{}) {
-		qos = r.cfg.QoS
 	}
 	if err := qos.validate(); err != nil {
 		return selectSelection{}, err

@@ -9,13 +9,12 @@ import (
 )
 
 // TestPlannerRejectsMalformedQoS: a NaN, infinite or negative QoS field is
-// rejected by every planner entry point — still images, stored video and
-// SELECT — and by NewZooRuntime, instead of passing every floor check and
+// rejected by every request method — still images, sampled video,
+// aggregation and SELECT — instead of passing every floor check and
 // silently serving the max-throughput plan.
 func TestPlannerRejectsMalformedQoS(t *testing.T) {
 	zoo, test := trainTinyZoo(t)
-	cfg := RuntimeConfig{BatchSize: 8, Workers: 2}
-	rt, err := NewZooRuntime(zoo, cfg)
+	rt, err := NewZooRuntime(zoo, RuntimeConfig{BatchSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +36,24 @@ func TestPlannerRejectsMalformedQoS(t *testing.T) {
 		{MinAccuracy: -0.5},
 		{MaxLatencyUS: -1},
 	} {
-		if _, err := srv.ClassifyQoS(ctx, inputs, q); err == nil {
-			t.Errorf("ClassifyQoS accepted QoS %+v", q)
+		if _, err := srv.ClassifyMedia(ctx, inputs, q); err == nil {
+			t.Errorf("ClassifyMedia accepted QoS %+v", q)
 		}
-		if _, err := srv.ClassifyQoS(ctx, nil, q); err == nil {
-			t.Errorf("empty ClassifyQoS accepted QoS %+v", q)
+		if _, err := srv.ClassifyMedia(ctx, nil, q); err == nil {
+			t.Errorf("empty ClassifyMedia accepted QoS %+v", q)
 		}
 		if _, err := srv.ClassifyVideoStored(ctx, v, VideoOpts{Stride: 3, QoS: q}); err == nil {
 			t.Errorf("ClassifyVideoStored accepted QoS %+v", q)
 		}
+		if _, err := srv.EstimateMeanStored(ctx, v, AggregateOpts{ErrTarget: 0.5, QoS: q}); err == nil {
+			t.Errorf("EstimateMeanStored accepted QoS %+v", q)
+		}
 		if _, err := srv.SelectVideo(ctx, v, SelectOpts{Class: 1, QoS: q}); err == nil {
 			t.Errorf("SelectVideo accepted QoS %+v", q)
 		}
-		bad := cfg
-		bad.QoS = q
-		if _, err := NewZooRuntime(zoo, bad); err == nil {
-			t.Errorf("NewZooRuntime accepted RuntimeConfig.QoS %+v", q)
-		}
 	}
 	// Well-formed targets still serve.
-	if _, err := srv.ClassifyQoS(ctx, inputs, QoS{MinAccuracy: 0.9, MaxLatencyUS: 1e9}); err != nil {
+	if _, err := srv.ClassifyMedia(ctx, inputs, QoS{MinAccuracy: 0.9, MaxLatencyUS: 1e9}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package smol
 
 import (
 	"container/list"
-	"context"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -30,10 +29,6 @@ type RuntimeConfig struct {
 	// NewRuntime (single model); ignored by NewZooRuntime, where every zoo
 	// entry carries its own resolution.
 	InputRes int
-	// QoS is the default serving target applied to Classify calls that do
-	// not supply their own (see Server.ClassifyQoS). The zero value asks
-	// for maximum throughput with no accuracy floor.
-	QoS QoS
 	// ROIDecode enables partial JPEG decoding of the central crop region
 	// (Algorithm 1).
 	ROIDecode bool
@@ -62,8 +57,8 @@ type RuntimeConfig struct {
 // trained models, using the pipelined engine: decode -> preprocess ->
 // batch -> model forward. A serving planner (see QoS and ServePlan)
 // jointly picks the zoo entry, decode scale, and preprocessing chain per
-// request. Use Classify for one-shot batches, or Serve to hold a warm
-// engine that many concurrent callers share.
+// request. Serve brings up the warm engine that every request, from any
+// number of concurrent callers, runs through.
 type Runtime struct {
 	cfg RuntimeConfig
 
@@ -174,9 +169,6 @@ func NewZooRuntime(zoo *Zoo, cfg RuntimeConfig) (*Runtime, error) {
 	if zoo == nil || zoo.Len() == 0 {
 		return nil, fmt.Errorf("smol: empty zoo")
 	}
-	if err := cfg.QoS.validate(); err != nil {
-		return nil, err
-	}
 	r := &Runtime{
 		cfg:           cfg,
 		jpegScales:    jpeg.SupportedScales(),
@@ -218,35 +210,6 @@ func (r *Runtime) Entries() []string {
 	return names
 }
 
-// EncodedImage is one still-image input: bytes in one of the supported
-// image codecs. It is the still-image shorthand for MediaInput; the serving
-// stack converts it on entry and plans by codec.
-type EncodedImage struct {
-	// Data is the encoded image (JPEG from this repo's codec, or spng).
-	Data []byte
-	// PNG marks the data as spng-encoded rather than JPEG.
-	PNG bool
-}
-
-// media lifts the still-image shorthand into the codec-tagged form the
-// media-generic ingest and planning layers run on.
-func (in EncodedImage) media() MediaInput {
-	c := CodecJPEG
-	if in.PNG {
-		c = CodecPNG
-	}
-	return MediaInput{Codec: c, Data: in.Data}
-}
-
-// mediaInputs converts a still-image request to MediaInputs.
-func mediaInputs(inputs []EncodedImage) []MediaInput {
-	out := make([]MediaInput, len(inputs))
-	for i, in := range inputs {
-		out[i] = in.media()
-	}
-	return out
-}
-
 // ClassifyResult reports predictions in input order, the serving plan the
 // planner chose for the request, and engine statistics.
 type ClassifyResult struct {
@@ -274,7 +237,7 @@ type classifyReq struct {
 	// submitting its job, so workers read it race-free.
 	frames []*img.Image
 	// framePool, when non-nil, recycles consumed frame images back to the
-	// request's decoder (ClassifyVideo's bounded-allocation loop).
+	// request's decoders (the video sampling loops' bounded allocation).
 	framePool *sync.Pool
 	preds     []int
 	entry     *rtEntry
@@ -603,23 +566,4 @@ func (r *Runtime) engineConfig() engine.Config {
 		BatchSize: r.cfg.BatchSize,
 		Shapes:    shapes,
 	}
-}
-
-// Classify runs the full pipeline over the encoded inputs under the
-// runtime's default QoS. It is a one-shot wrapper over the streaming core:
-// a pipeline is brought up, the inputs stream through it, and it is torn
-// down. Callers serving many requests should use Serve instead and keep
-// the engine warm.
-func (r *Runtime) Classify(inputs []EncodedImage) (ClassifyResult, error) {
-	return r.ClassifyQoS(inputs, r.cfg.QoS)
-}
-
-// ClassifyQoS is Classify with an explicit serving target.
-func (r *Runtime) ClassifyQoS(inputs []EncodedImage, qos QoS) (ClassifyResult, error) {
-	srv, err := r.Serve()
-	if err != nil {
-		return ClassifyResult{}, err
-	}
-	defer srv.Close()
-	return srv.ClassifyQoS(context.Background(), inputs, qos)
 }

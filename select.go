@@ -32,7 +32,7 @@ type SelectOpts struct {
 	Limit int
 	// Stride samples every Stride-th frame (0 or 1 = every frame).
 	Stride int
-	// QoS constrains the verification plan (zero = the runtime default).
+	// QoS constrains the verification plan (zero = maximum throughput).
 	QoS QoS
 	// Deblock forces the verification decode fidelity (default DeblockAuto).
 	Deblock DeblockMode
@@ -98,15 +98,17 @@ type SelectResult struct {
 	Decode VideoDecodeStats
 }
 
-// SelectVideo answers a selection query from the media store with a
+// SelectVideo answers a selection query over an indexed video with a
 // two-stage proxy cascade. Stage 1 scores every frame with a cheap proxy —
 // from a persisted score table when one exists, otherwise by one live pass
-// over the planner's chosen rendition (persisted afterwards, so repeat
-// queries skip it). Stage 2 ranks the frames that survive MinConf by proxy
-// confidence and verifies them through the warm engine in batches,
-// descending, seeking only the GOPs the candidates live in and stopping as
-// soon as Limit frames are confirmed — decode and inference work scale
-// with Limit and proxy selectivity, not stream length.
+// over the planner's chosen rendition (persisted afterwards when the video
+// lives in a MediaStore, so repeat queries skip it; an IndexVideo handle
+// has no store and scores live on every call). Stage 2 ranks the frames
+// that survive MinConf by proxy confidence and verifies them through the
+// warm engine in batches, descending, seeking only the GOPs the candidates
+// live in and stopping as soon as Limit frames are confirmed — decode and
+// inference work scale with Limit and proxy selectivity, not stream
+// length.
 //
 // With RuntimeConfig.DisableProxyCascade (or DisableGOPSeek, which removes
 // the index the cascade seeks with) the query verifies every sampled frame

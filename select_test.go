@@ -149,6 +149,58 @@ func TestSelectRenditions(t *testing.T) {
 	}
 }
 
+// TestSelectVideoRawMatchesStored: SelectVideo over an IndexVideo handle
+// has no store to read or persist proxy score tables, so it scores live and
+// summarizes GOPs itself (gopScoreBounds). It must return the frames,
+// scores, plan and counters of a first query over the same bytes ingested
+// with the same rendition, in the cascade and in the full scan, and a
+// repeat query must score live again.
+func TestSelectVideoRawMatchesStored(t *testing.T) {
+	frames, _ := renderClassVideo(t, 41, 48)
+	enc := encodeClassVideo(t, frames, 85, 6)
+	ctx := context.Background()
+	for _, disable := range []bool{false, true} {
+		srv := selectServer(t, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2, DisableProxyCascade: disable})
+		for _, opts := range []SelectOpts{
+			{Class: 1, Limit: 3, Deblock: DeblockOn},
+			{Class: 1, MinConf: 0.6, Stride: 3},
+			{Class: 0, Stride: 5},
+			{Class: 1, Limit: 2, QoS: QoS{MinAccuracy: 1}},
+		} {
+			label := fmt.Sprintf("DisableProxyCascade=%v %+v", disable, opts)
+			// A fresh store per query: its first query finds no persisted
+			// table, so it plans and scores exactly as a storeless handle.
+			_, stored := openTestStore(t, enc, IngestOptions{RenditionShortEdges: []int{24}})
+			raw := indexTestVideo(t, enc, stored.v.Renditions[0].Data)
+			want, err := srv.SelectVideo(ctx, stored, opts)
+			if err != nil {
+				t.Fatalf("%s: stored: %v", label, err)
+			}
+			for call := 1; call <= 2; call++ {
+				got, err := srv.SelectVideo(ctx, raw, opts)
+				if err != nil {
+					t.Fatalf("%s call %d: raw: %v", label, call, err)
+				}
+				where := fmt.Sprintf("%s call %d", label, call)
+				assertSelectEqual(t, where, got, want)
+				if got.Plan != want.Plan {
+					t.Fatalf("%s: raw plan %+v, stored plan %+v", where, got.Plan, want.Plan)
+				}
+				if got.ScoresCached || got.ProxyInvocations == 0 {
+					t.Fatalf("%s: raw query reports cached scores (%v, %d proxy invocations)",
+						where, got.ScoresCached, got.ProxyInvocations)
+				}
+				if got.ProxyInvocations != want.ProxyInvocations || got.OracleInvocations != want.OracleInvocations ||
+					got.GOPsTouched != want.GOPsTouched || got.GOPsTotal != want.GOPsTotal {
+					t.Fatalf("%s: raw counters (proxy %d, oracle %d, GOPs %d/%d), stored (%d, %d, %d/%d)",
+						where, got.ProxyInvocations, got.OracleInvocations, got.GOPsTouched, got.GOPsTotal,
+						want.ProxyInvocations, want.OracleInvocations, want.GOPsTouched, want.GOPsTotal)
+				}
+			}
+		}
+	}
+}
+
 // TestSelectConcurrent: concurrent selection queries with different
 // parameters through one warm server must each match their own
 // sequentially-computed baseline.

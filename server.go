@@ -9,7 +9,7 @@ import (
 // Server is a long-lived serving frontend over one warm engine pipeline:
 // the preprocessing workers, per-variant tensor pools, and pinned staging
 // arenas come up once and stay resident, and any number of concurrent
-// Classify calls share them (the latency-constrained deployment mode of
+// requests share them (the latency-constrained deployment mode of
 // §3.1). Each request is routed by the serving planner: its QoS target
 // (accuracy floor, latency ceiling, or max throughput) picks a zoo entry,
 // decode scale, and preprocessing chain jointly, and the engine keeps a
@@ -24,12 +24,12 @@ import (
 // forward fails, every request with a sample in that batch fails, while
 // the server itself keeps serving later requests.
 //
-// Beyond classification, a Server answers whole-video queries over one
-// request path: ClassifyVideoStored and EstimateMeanStored sample through a
-// stream's GOP index, and ClassifyVideo and EstimateMean serve raw bytes as
-// an unpersisted stored video over a GOP index built per request. SelectVideo
-// runs LIMIT selection queries over the media store through a two-stage
-// proxy cascade with store-level predicate pushdown.
+// A Server answers each query kind through one method: ClassifyMedia for
+// still images, ClassifyVideoStored for sampled video classification,
+// EstimateMeanStored for aggregation, and SelectVideo for LIMIT selection
+// through a two-stage proxy cascade with store-level predicate pushdown.
+// The three video methods take a StoredVideo, from a MediaStore or from raw
+// bytes through IndexVideo, and sample it through its GOP index.
 //
 // Create a Server with Runtime.Serve and release it with Close.
 type Server struct {
@@ -48,31 +48,19 @@ func (r *Runtime) Serve() (*Server, error) {
 	return &Server{rt: r, pipe: pipe}, nil
 }
 
-// Classify streams one request's encoded inputs through the shared warm
-// engine under the runtime's default QoS and blocks until every prediction
-// is ready, ctx is cancelled, or a stage fails. Concurrent calls
+// ClassifyMedia streams one request's encoded still images (each tagged
+// with its codec) through the shared warm engine and blocks until every
+// prediction is ready, ctx is cancelled, or a stage fails. The planner
+// selects the zoo entry, decode scale and preprocessing chain for this
+// request alone from qos, so one warm Server serves an accuracy-floor
+// request and a max-throughput request back to back. Concurrent calls
 // interleave in the pipeline and may share batches; each call only ever
 // sees its own predictions.
 //
-// On cancellation Classify returns ctx's error promptly; the request's
+// On cancellation ClassifyMedia returns ctx's error promptly; the request's
 // in-flight samples are dropped inside the engine without disturbing other
-// requests.
-func (s *Server) Classify(ctx context.Context, inputs []EncodedImage) (ClassifyResult, error) {
-	return s.ClassifyQoS(ctx, inputs, s.rt.cfg.QoS)
-}
-
-// ClassifyQoS is Classify with a per-request serving target: the planner
-// re-selects the zoo entry (and with it the decode scale and
-// preprocessing chain) for this request alone, so one warm Server can
-// serve an accuracy-floor request and a max-throughput request
-// back-to-back from the same pipeline.
-func (s *Server) ClassifyQoS(ctx context.Context, inputs []EncodedImage, qos QoS) (ClassifyResult, error) {
-	return s.ClassifyMedia(ctx, mediaInputs(inputs), qos)
-}
-
-// ClassifyMedia is the codec-generic form of ClassifyQoS: each input is
-// tagged with its codec rather than assumed JPEG-or-PNG. Video streams are
-// whole requests, not single samples — route them through ClassifyVideo.
+// requests. Video streams are whole requests, not single samples: index
+// them with IndexVideo and serve them through ClassifyVideoStored.
 func (s *Server) ClassifyMedia(ctx context.Context, inputs []MediaInput, qos QoS) (ClassifyResult, error) {
 	ent, plan, err := s.rt.planFor(inputs, qos)
 	if err != nil {

@@ -8,7 +8,19 @@ import (
 	"time"
 )
 
-// TestServerConcurrentClassify: several simultaneous Classify calls must
+// classifyOnce serves one still-image request on a Server brought up for
+// it alone: the cold, single-request reference warm servers are compared
+// against.
+func classifyOnce(rt *Runtime, inputs []MediaInput, qos QoS) (ClassifyResult, error) {
+	srv, err := rt.Serve()
+	if err != nil {
+		return ClassifyResult{}, err
+	}
+	defer srv.Close()
+	return srv.ClassifyMedia(context.Background(), inputs, qos)
+}
+
+// TestServerConcurrentClassify: several simultaneous ClassifyMedia calls must
 // share one warm engine and each get back exactly its own predictions —
 // the acceptance scenario for the streaming serving mode.
 func TestServerConcurrentClassify(t *testing.T) {
@@ -17,12 +29,12 @@ func TestServerConcurrentClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := make([]EncodedImage, len(test))
+	inputs := make([]MediaInput, len(test))
 	for i, li := range test {
-		inputs[i] = EncodedImage{Data: EncodeJPEG(li.Image, 95)}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: EncodeJPEG(li.Image, 95)}
 	}
 	// Reference predictions from the one-shot path.
-	ref, err := rt.Classify(inputs)
+	ref, err := classifyOnce(rt, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +55,11 @@ func TestServerConcurrentClassify(t *testing.T) {
 			defer wg.Done()
 			// Each caller classifies a distinct rotation of the test set so
 			// cross-request routing mistakes cannot cancel out.
-			rot := make([]EncodedImage, len(inputs))
+			rot := make([]MediaInput, len(inputs))
 			for i := range inputs {
 				rot[i] = inputs[(i+c)%len(inputs)]
 			}
-			results[c], errs[c] = srv.Classify(context.Background(), rot)
+			results[c], errs[c] = srv.ClassifyMedia(context.Background(), rot, QoS{})
 		}(c)
 	}
 	wg.Wait()
@@ -66,7 +78,7 @@ func TestServerConcurrentClassify(t *testing.T) {
 	}
 	// A warm follow-up request must reuse pooled buffers from the earlier
 	// traffic rather than allocating a fresh pipeline.
-	again, err := srv.Classify(context.Background(), inputs)
+	again, err := srv.ClassifyMedia(context.Background(), inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,7 @@ func TestServerConcurrentClassify(t *testing.T) {
 	}
 }
 
-// TestServerCancellation: cancelling a Classify must return promptly with
+// TestServerCancellation: cancelling a ClassifyMedia request must return promptly with
 // the context error and leave the server healthy for later requests.
 func TestServerCancellation(t *testing.T) {
 	clf, test := trainTinyClassifier(t)
@@ -90,15 +102,15 @@ func TestServerCancellation(t *testing.T) {
 	defer srv.Close()
 
 	// A large request so cancellation lands mid-stream.
-	big := make([]EncodedImage, 5000)
+	big := make([]MediaInput, 5000)
 	enc := EncodeJPEG(test[0].Image, 95)
 	for i := range big {
-		big[i] = EncodedImage{Data: enc}
+		big[i] = MediaInput{Codec: CodecJPEG, Data: enc}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Classify(ctx, big)
+		_, err := srv.ClassifyMedia(ctx, big, QoS{})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -106,15 +118,15 @@ func TestServerCancellation(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled Classify returned %v", err)
+			t.Fatalf("cancelled ClassifyMedia returned %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled Classify did not return (deadlock)")
+		t.Fatal("cancelled ClassifyMedia did not return (deadlock)")
 	}
 
 	// The server survives and still produces correct-shaped results.
 	small := big[:16]
-	res, err := srv.Classify(context.Background(), small)
+	res, err := srv.ClassifyMedia(context.Background(), small, QoS{})
 	if err != nil {
 		t.Fatalf("request after cancellation: %v", err)
 	}
@@ -135,8 +147,8 @@ func TestServerClassifyAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	_, err = srv.Classify(context.Background(), []EncodedImage{{Data: EncodeJPEG(test[0].Image, 90)}})
+	_, err = srv.ClassifyMedia(context.Background(), []MediaInput{{Codec: CodecJPEG, Data: EncodeJPEG(test[0].Image, 90)}}, QoS{})
 	if err == nil {
-		t.Fatal("Classify on a closed server should error")
+		t.Fatal("ClassifyMedia on a closed server should error")
 	}
 }

@@ -182,13 +182,13 @@ func TestRuntimeClassifyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Encode the test set as JPEGs and classify through the real engine.
-	inputs := make([]EncodedImage, len(test))
+	inputs := make([]MediaInput, len(test))
 	labels := make([]int, len(test))
 	for i, li := range test {
-		inputs[i] = EncodedImage{Data: EncodeJPEG(li.Image, 95)}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: EncodeJPEG(li.Image, 95)}
 		labels[i] = li.Label
 	}
-	res, err := rt.Classify(inputs)
+	res, err := classifyOnce(rt, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,22 +39,15 @@ type VideoOpts struct {
 	Stride int
 	// QoS is the serving target the video planner satisfies, jointly
 	// choosing the zoo entry, the stored rendition, the deblocking toggle,
-	// and the preprocessing chain. The zero value inherits the runtime's
-	// default (RuntimeConfig.QoS), exactly as still-image Classify does.
+	// and the preprocessing chain. The zero value asks for maximum
+	// throughput.
 	QoS QoS
-	// Variants are alternative natively-stored renditions of the same
-	// content (the paper's natively-present low-resolution lever, e.g. a
-	// 480p proxy encoded alongside the full stream). The planner may route
-	// the request to whichever rendition is cheapest under the QoS target;
-	// ServePlan.Stream reports the choice (0 = the primary stream, n > 0 =
-	// Variants[n-1]).
-	Variants [][]byte
 	// Deblock overrides the planner's deblocking choice (DeblockAuto lets
 	// the plan search decide from the QoS target).
 	Deblock DeblockMode
 }
 
-// VideoResult reports one ClassifyVideo call: the sampled frame indices,
+// VideoResult reports one ClassifyVideoStored call: the sampled frame indices,
 // their predictions (parallel slices), the plan the video planner chose,
 // and the engine/decoder work counters.
 type VideoResult struct {
@@ -72,17 +65,15 @@ type VideoResult struct {
 	Decode VideoDecodeStats
 }
 
-// AggregateOpts configures one EstimateMean aggregation query.
+// AggregateOpts configures one EstimateMeanStored aggregation query.
 type AggregateOpts struct {
 	// ErrTarget is the requested confidence-interval half-width on the
 	// mean (required).
 	ErrTarget float64
 	// QoS selects the target model: the zoo entry the planner routes this
 	// request to is the expensive model the estimator samples. The zero
-	// value inherits the runtime's default (RuntimeConfig.QoS).
+	// value asks for maximum throughput.
 	QoS QoS
-	// Variants are alternative stored renditions, as in VideoOpts.
-	Variants [][]byte
 	// Deblock overrides the planner's deblocking choice.
 	Deblock DeblockMode
 	// Seed drives the sampling order (deterministic per seed).
@@ -92,7 +83,7 @@ type AggregateOpts struct {
 	MaxTargetInvocations int
 }
 
-// AggregateResult reports one EstimateMean query.
+// AggregateResult reports one EstimateMeanStored query.
 type AggregateResult struct {
 	// Estimate is the estimated mean of the target model's per-frame
 	// output.
@@ -157,17 +148,12 @@ type videoSelKey struct {
 // amortization) and selected under the QoS constraint. It is the video
 // counterpart of selectPlan, with two extra decode-fidelity dimensions: the
 // natively-stored resolution variant and the deblocking toggle (§6.4). It
-// plans over stream headers probed once — at ingest for a stored video, at
-// indexing for a raw request — and memoizes decisions per input class and
+// plans over stream headers probed once — at ingest for a stored video, in
+// IndexVideo for raw bytes — and memoizes decisions per input class and
 // QoS.
 func (r *Runtime) planVideoInfos(infos []vid.Info, qos QoS, stride int, mode DeblockMode, seek bool) (*rtEntry, videoChoice, ServePlan, error) {
 	if stride < 1 {
 		stride = 1
-	}
-	if qos == (QoS{}) {
-		// An unset target inherits the runtime default, matching the
-		// still-image Classify contract.
-		qos = r.cfg.QoS
 	}
 	if err := qos.validate(); err != nil {
 		return nil, videoChoice{}, ServePlan{}, err
@@ -306,24 +292,6 @@ func (s *videoSource) Next() (engine.Job, bool, error) {
 	}
 }
 
-// ClassifyVideo streams a video's sampled frames through the shared warm
-// engine and blocks until every prediction is ready, ctx is cancelled, or a
-// stage fails. The stream and opts.Variants are indexed per request (one
-// header probe and record-header scan each, no payload decode) into an
-// unpersisted StoredVideo, which is then served exactly as
-// ClassifyVideoStored serves an ingested one: the same plan search, the same
-// GOP fan-out, and the same sequential oracle under DisableGOPSeek. Sampled
-// frames flow through the same per-class tensor pools, batch streams, and
-// compiled forwards as still-image traffic, and may share accelerator
-// batches with concurrent still-image requests routed to the same zoo entry.
-func (s *Server) ClassifyVideo(ctx context.Context, stream []byte, opts VideoOpts) (VideoResult, error) {
-	v, err := requestVideo(stream, opts.Variants)
-	if err != nil {
-		return VideoResult{}, err
-	}
-	return s.ClassifyVideoStored(ctx, v, opts)
-}
-
 // classifyStream samples every stride-th frame of one stream through the
 // warm engine. With seek set the sampled GOPs fan out across resident
 // decoders (classifyParallelGOP); otherwise one decoder walks the stream
@@ -369,8 +337,8 @@ func (s *Server) classifySequential(ctx context.Context, cr *classifyReq, str st
 }
 
 // classifyFrame runs one already-decoded frame through the warm pipeline
-// against a fixed zoo entry — the target-model invocation EstimateMean
-// samples.
+// against a fixed zoo entry — the target-model invocation
+// EstimateMeanStored samples.
 func (s *Server) classifyFrame(ctx context.Context, ent *rtEntry, m *img.Image) (int, error) {
 	cr := &classifyReq{frames: []*img.Image{m}, preds: make([]int, 1), entry: ent}
 	job := engine.Job{Index: 0, Tag: cr, Class: ent.class}
@@ -380,38 +348,13 @@ func (s *Server) classifyFrame(ctx context.Context, ent *rtEntry, m *img.Image) 
 	return cr.preds[0], nil
 }
 
-// EstimateMean answers a BlazeIt-style aggregation query (§3.2) over a
-// video: estimate the mean of the target model's per-frame prediction to
-// within opts.ErrTarget, using the cheap specialized model
-// (blazeit.BlobCounter on every decoded frame) as a control variate so the
-// expensive target — the zoo entry the QoS target selects, executed
-// through the warm pipeline — runs on as few frames as possible.
-//
-// For a zoo trained so that the class index is the per-frame object count,
-// the estimate is the mean object count; more generally it is the mean
-// predicted class. The returned TargetInvocations is the query's cost
-// driver: the better the specialized model tracks the target, the fewer
-// samples the confidence interval needs (§8.4).
-//
-// The stream and opts.Variants are indexed per request into an unpersisted
-// StoredVideo and answered by EstimateMeanStored, so raw and stored queries
-// share one plan, one retention policy, and one GOP-indexed re-decode path.
-func (s *Server) EstimateMean(ctx context.Context, stream []byte, opts AggregateOpts) (AggregateResult, error) {
-	v, err := requestVideo(stream, opts.Variants)
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	return s.EstimateMeanStored(ctx, v, opts)
-}
-
-// estimateMeanStream is the aggregation core behind EstimateMeanStored (and
-// so EstimateMean). Every decoder it opens is armed with the stream's GOP
-// index. cachedSpec, when non-nil, is the specialized model's per-frame
-// prediction from a persisted proxy score table; the cheap
-// decode-everything pass is skipped entirely and the query's decode work is
-// the sampled target pass alone (the scores are only passed in when they
-// are bit-identical to what the pass would compute: the blob proxy at the
-// chosen stream's fidelity).
+// estimateMeanStream is the aggregation core behind EstimateMeanStored.
+// Every decoder it opens is armed with the stream's GOP index. cachedSpec,
+// when non-nil, is the specialized model's per-frame prediction from a
+// persisted proxy score table; the cheap decode-everything pass is skipped
+// entirely and the query's decode work is the sampled target pass alone
+// (the scores are only passed in when they are bit-identical to what the
+// pass would compute: the blob proxy at the chosen stream's fidelity).
 func (s *Server) estimateMeanStream(ctx context.Context, str store.Stream, decOpts vid.DecodeOptions, ent *rtEntry, plan ServePlan, opts AggregateOpts, seek bool, cachedSpec []float64) (AggregateResult, error) {
 	var specPreds []float64
 	var frames []*img.Image

@@ -30,6 +30,17 @@ func openTestStore(t *testing.T, enc []byte, opts IngestOptions) (*MediaStore, *
 	return ms, v
 }
 
+// indexTestVideo indexes raw stream bytes (and renditions) into an
+// unpersisted StoredVideo.
+func indexTestVideo(t testing.TB, stream []byte, renditions ...[]byte) *StoredVideo {
+	t.Helper()
+	v, err := IndexVideo(stream, renditions...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestClassifyVideoStoredMatchesSequential is the store-path acceptance
 // equivalence: the parallel per-GOP fan-out must predict bit-identically to
 // the sequential full-decode oracle (DisableGOPSeek over the same stored
@@ -244,8 +255,8 @@ func TestOrderedGOPSourceCancelled(t *testing.T) {
 	}
 }
 
-// TestClassifyVideoRawMatchesStored: raw bytes are served as an unpersisted
-// stored video over a per-request GOP index, so a raw request and the same
+// TestClassifyVideoRawMatchesStored: IndexVideo serves raw bytes as an
+// unpersisted stored video, so a request over that handle and over the same
 // bytes after IngestVideo must agree on everything the result reports —
 // predictions, frame indices, plan and decoder work — with and without a
 // low-resolution rendition, on both sides of DisableGOPSeek, and with a
@@ -258,7 +269,7 @@ func TestClassifyVideoRawMatchesStored(t *testing.T) {
 	enc := encodeClassVideo(t, frames, 85, gop)
 	_, plain := openTestStore(t, enc, IngestOptions{})
 	_, withLow := openTestStore(t, enc, IngestOptions{RenditionShortEdges: []int{48}})
-	// The raw request carries the ingested rendition's bytes as its variant.
+	// The raw handle carries the ingested rendition's bytes as its rendition.
 	low := withLow.v.Renditions[0].Data
 	ctx := context.Background()
 
@@ -275,16 +286,18 @@ func TestClassifyVideoRawMatchesStored(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []struct {
-			name     string
-			v        *StoredVideo
-			variants [][]byte
-		}{{"primary", plain, nil}, {"rendition", withLow, [][]byte{low}}} {
+			name        string
+			stored, raw *StoredVideo
+		}{
+			{"primary", plain, indexTestVideo(t, enc)},
+			{"rendition", withLow, indexTestVideo(t, enc, low)},
+		} {
 			for _, stride := range []int{1, 4, gop, 13} {
-				stored, err := srv.ClassifyVideoStored(ctx, c.v, VideoOpts{Stride: stride})
+				stored, err := srv.ClassifyVideoStored(ctx, c.stored, VideoOpts{Stride: stride})
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Stride: stride, Variants: c.variants})
+				raw, err := srv.ClassifyVideoStored(ctx, c.raw, VideoOpts{Stride: stride})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,7 +309,7 @@ func TestClassifyVideoRawMatchesStored(t *testing.T) {
 				if raw.Plan != stored.Plan {
 					t.Fatalf("%s: raw plan %+v, stored plan %+v", where, raw.Plan, stored.Plan)
 				}
-				if c.variants != nil && raw.Plan.Stream != 1 {
+				if c.stored == withLow && raw.Plan.Stream != 1 {
 					t.Fatalf("%s: relaxed-floor plan served stream %d, want the 48px rendition (1)", where, raw.Plan.Stream)
 				}
 				if raw.Decode != stored.Decode {
@@ -308,7 +321,7 @@ func TestClassifyVideoRawMatchesStored(t *testing.T) {
 	}
 }
 
-// TestEstimateMeanStoredMatchesRaw: raw bytes are aggregated as an
+// TestEstimateMeanStoredMatchesRaw: IndexVideo aggregates raw bytes as an
 // unpersisted stored video, so the raw and store-backed queries share one
 // retention policy and must agree on the estimate and on the decode work —
 // both under the default budget, which retains this short clip, and under a
@@ -319,6 +332,7 @@ func TestEstimateMeanStoredMatchesRaw(t *testing.T) {
 	frames, _ := renderClassVideo(t, 48, 48)
 	enc := encodeClassVideo(t, frames, 85, 8)
 	_, v := openTestStore(t, enc, IngestOptions{})
+	rawV := indexTestVideo(t, enc)
 	rt, err := NewRuntime(clf.Model, RuntimeConfig{InputRes: 16, BatchSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +347,7 @@ func TestEstimateMeanStoredMatchesRaw(t *testing.T) {
 	query := func(budget string) (raw, stored AggregateResult) {
 		t.Helper()
 		opts := AggregateOpts{ErrTarget: 1e-9, Deblock: DeblockOn, Seed: 7}
-		raw, err := srv.EstimateMean(ctx, enc, opts)
+		raw, err := srv.EstimateMeanStored(ctx, rawV, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

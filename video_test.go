@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,9 +38,9 @@ func encodeClassVideo(t testing.TB, frames []*Image, quality, gop int) []byte {
 }
 
 // TestClassifyVideoMatchesOfflineDecode is the acceptance equivalence: with
-// the deblocking filter forced on, ClassifyVideo's per-frame predictions
-// must be bit-identical to decoding each sampled frame offline and pushing
-// it through Classify (losslessly PNG-encoded, so the only difference is
+// the deblocking filter forced on, ClassifyVideoStored's per-frame
+// predictions must be bit-identical to decoding each sampled frame offline
+// and pushing it through ClassifyMedia (losslessly PNG-encoded, so the only difference is
 // the serving path itself: resident decoder, frame recycling, shared
 // batches).
 func TestClassifyVideoMatchesOfflineDecode(t *testing.T) {
@@ -57,7 +58,7 @@ func TestClassifyVideoMatchesOfflineDecode(t *testing.T) {
 	frames, _ := renderClassVideo(t, 24, 48)
 	enc := encodeClassVideo(t, frames, 85, 6)
 	const stride = 3
-	res, err := srv.ClassifyVideo(context.Background(), enc, VideoOpts{Stride: stride, Deblock: DeblockOn})
+	res, err := srv.ClassifyVideoStored(context.Background(), indexTestVideo(t, enc), VideoOpts{Stride: stride, Deblock: DeblockOn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestClassifyVideoMatchesOfflineDecode(t *testing.T) {
 		if fi != i*stride {
 			t.Fatalf("sample %d maps to frame %d, want %d", i, fi, i*stride)
 		}
-		still, err := srv.Classify(context.Background(), []EncodedImage{{Data: EncodePNG(decoded[fi]), PNG: true}})
+		still, err := srv.ClassifyMedia(context.Background(), []MediaInput{{Codec: CodecPNG, Data: EncodePNG(decoded[fi])}}, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestClassifyVideoSeekMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		res, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Stride: stride, Deblock: DeblockOn})
+		res, err := srv.ClassifyVideoStored(ctx, indexTestVideo(t, enc), VideoOpts{Stride: stride, Deblock: DeblockOn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +189,11 @@ func TestVideoDeblockDriftBound(t *testing.T) {
 	frames, _ := renderClassVideo(t, 30, 48)
 	enc := encodeClassVideo(t, frames, 85, 6)
 	ctx := context.Background()
-	on, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Deblock: DeblockOn})
+	on, err := srv.ClassifyVideoStored(ctx, indexTestVideo(t, enc), VideoOpts{Deblock: DeblockOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Deblock: DeblockOff})
+	off, err := srv.ClassifyVideoStored(ctx, indexTestVideo(t, enc), VideoOpts{Deblock: DeblockOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,19 +240,15 @@ func TestVideoPlannerJointChoice(t *testing.T) {
 	lowEnc := encodeClassVideo(t, low, 85, 6)
 	ctx := context.Background()
 
-	strict, err := srv.ClassifyVideo(ctx, full, VideoOpts{
-		QoS:      QoS{MinAccuracy: 0.95},
-		Variants: [][]byte{lowEnc},
-	})
+	withLow := indexTestVideo(t, full, lowEnc)
+	strict, err := srv.ClassifyVideoStored(ctx, withLow, VideoOpts{QoS: QoS{MinAccuracy: 0.95}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strict.Plan.Entry != "resnet-a@16" || !strict.Plan.Deblock || strict.Plan.Stream != 0 {
 		t.Fatalf("strict floor chose %+v, want resnet-a@16 / deblock on / stream 0", strict.Plan)
 	}
-	relaxed, err := srv.ClassifyVideo(ctx, full, VideoOpts{
-		Variants: [][]byte{lowEnc},
-	})
+	relaxed, err := srv.ClassifyVideoStored(ctx, withLow, VideoOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,35 +259,15 @@ func TestVideoPlannerJointChoice(t *testing.T) {
 		t.Fatalf("unconstrained request chose %+v, want resnet-a@8 on low-res stream 1", relaxed.Plan)
 	}
 	// An unsatisfiable floor fails loudly.
-	if _, err := srv.ClassifyVideo(ctx, full, VideoOpts{QoS: QoS{MinAccuracy: 0.99}}); err == nil {
+	if _, err := srv.ClassifyVideoStored(ctx, indexTestVideo(t, full), VideoOpts{QoS: QoS{MinAccuracy: 0.99}}); err == nil {
 		t.Fatal("unsatisfiable accuracy floor should error")
 	}
 	// A rendition with a different frame count is not the same content on
-	// the same timeline; routing to it would silently reindex results.
+	// the same timeline; routing to it would silently reindex results, so
+	// IndexVideo refuses it.
 	short := encodeClassVideo(t, frames[:6], 85, 6)
-	if _, err := srv.ClassifyVideo(ctx, full, VideoOpts{Variants: [][]byte{short}}); err == nil {
-		t.Fatal("frame-count-mismatched variant should error")
-	}
-
-	// A request without its own QoS inherits the runtime default, like
-	// still-image Classify.
-	rtFloor, err := NewZooRuntime(zoo, RuntimeConfig{
-		BatchSize: 8, Workers: 2, QoS: QoS{MinAccuracy: 0.95},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvFloor, err := rtFloor.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvFloor.Close()
-	inherited, err := srvFloor.ClassifyVideo(ctx, full, VideoOpts{Variants: [][]byte{lowEnc}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inherited.Plan.Entry != "resnet-a@16" || !inherited.Plan.Deblock {
-		t.Fatalf("default-QoS request ignored the runtime floor: %+v", inherited.Plan)
+	if _, err := IndexVideo(full, short); err == nil || !strings.Contains(err.Error(), "timeline") {
+		t.Fatalf("frame-count-mismatched rendition: got %v, want a timeline error", err)
 	}
 }
 
@@ -357,11 +334,12 @@ func TestVideoStillMixedRace(t *testing.T) {
 	frames, _ := renderClassVideo(t, 18, 48)
 	enc := encodeClassVideo(t, frames, 85, 6)
 	stills := encodeTestSet(test)
-	videoRef, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Stride: 2, Deblock: DeblockOn})
+	v := indexTestVideo(t, enc)
+	videoRef, err := srv.ClassifyVideoStored(ctx, v, VideoOpts{Stride: 2, Deblock: DeblockOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stillRef, err := srv.Classify(ctx, stills)
+	stillRef, err := srv.ClassifyMedia(ctx, stills, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +353,7 @@ func TestVideoStillMixedRace(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			if c%2 == 0 {
-				res, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Stride: 2, Deblock: DeblockOn})
+				res, err := srv.ClassifyVideoStored(ctx, v, VideoOpts{Stride: 2, Deblock: DeblockOn})
 				if err != nil {
 					errs[c] = err
 					return
@@ -387,7 +365,7 @@ func TestVideoStillMixedRace(t *testing.T) {
 					}
 				}
 			} else {
-				res, err := srv.Classify(ctx, stills)
+				res, err := srv.ClassifyMedia(ctx, stills, QoS{})
 				if err != nil {
 					errs[c] = err
 					return
@@ -434,7 +412,7 @@ func TestEstimateMeanServing(t *testing.T) {
 
 	// Exact target mean from classifying every frame through the same
 	// fidelity (deblock forced on in both paths).
-	all, err := srv.ClassifyVideo(ctx, enc, VideoOpts{Deblock: DeblockOn})
+	all, err := srv.ClassifyVideoStored(ctx, indexTestVideo(t, enc), VideoOpts{Deblock: DeblockOn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +422,7 @@ func TestEstimateMeanServing(t *testing.T) {
 	}
 	exact /= float64(len(all.Predictions))
 
-	exhaustive, err := srv.EstimateMean(ctx, enc, AggregateOpts{
+	exhaustive, err := srv.EstimateMeanStored(ctx, indexTestVideo(t, enc), AggregateOpts{
 		ErrTarget: 1e-9, Deblock: DeblockOn, Seed: 7,
 	})
 	if err != nil {
@@ -456,7 +434,7 @@ func TestEstimateMeanServing(t *testing.T) {
 	if math.Abs(exhaustive.Estimate-exact) > 1e-9 {
 		t.Fatalf("exhaustive estimate %.6f != exact mean %.6f", exhaustive.Estimate, exact)
 	}
-	loose, err := srv.EstimateMean(ctx, enc, AggregateOpts{
+	loose, err := srv.EstimateMeanStored(ctx, indexTestVideo(t, enc), AggregateOpts{
 		ErrTarget: 0.5, Deblock: DeblockOn, Seed: 7,
 	})
 	if err != nil {
@@ -468,22 +446,22 @@ func TestEstimateMeanServing(t *testing.T) {
 	if loose.HalfWidth > 0.5 {
 		t.Fatalf("loose query stopped at half-width %.3f > target 0.5", loose.HalfWidth)
 	}
-	if _, err := srv.EstimateMean(ctx, enc, AggregateOpts{}); err == nil {
+	if _, err := srv.EstimateMeanStored(ctx, indexTestVideo(t, enc), AggregateOpts{}); err == nil {
 		t.Fatal("zero error target should error")
 	}
 	// A cancelled context aborts the query during the decode pass.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := srv.EstimateMean(cctx, enc, AggregateOpts{ErrTarget: 0.5}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled EstimateMean returned %v", err)
+	if _, err := srv.EstimateMeanStored(cctx, indexTestVideo(t, enc), AggregateOpts{ErrTarget: 0.5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled EstimateMeanStored returned %v", err)
 	}
 
-	// Past the retention budget EstimateMean re-decodes sampled frames
+	// Past the retention budget EstimateMeanStored re-decodes sampled frames
 	// instead of keeping the whole stream resident; the decode is
 	// deterministic, so the answer must be identical.
 	defer func(n int) { aggRetainBytes = n }(aggRetainBytes)
 	aggRetainBytes = 8 * 48 * 48 * 3
-	bounded, err := srv.EstimateMean(ctx, enc, AggregateOpts{
+	bounded, err := srv.EstimateMeanStored(ctx, indexTestVideo(t, enc), AggregateOpts{
 		ErrTarget: 1e-9, Deblock: DeblockOn, Seed: 7,
 	})
 	if err != nil {

@@ -20,9 +20,10 @@ type IngestOptions = store.IngestOptions
 // stack samples from. Ingest writes each stream exactly once, scans and
 // persists its GOP table in a sidecar, and optionally materializes
 // low-resolution renditions (the planner prices them through
-// ServePlan.Stream, exactly like request-supplied Variants). Ingest is
-// crash-safe: a write-ahead journal brackets every ingest, and Open
-// removes the files of any ingest that did not reach its commit record.
+// ServePlan.Stream, exactly like the renditions passed to IndexVideo).
+// Ingest is crash-safe: a write-ahead journal brackets every ingest, and
+// Open removes the files of any ingest that did not reach its commit
+// record.
 //
 // The payoff is at query time: store-backed requests skip the per-request
 // header probe and index scan, and sampling seeks straight to the GOPs
@@ -74,9 +75,11 @@ func (ms *MediaStore) Names() []string { return ms.st.Names() }
 // Len reports how many videos the store holds.
 func (ms *MediaStore) Len() int { return ms.st.Len() }
 
-// StoredVideo is a handle to one ingested video: the primary stream plus
-// the renditions materialized at ingest, each carrying its persisted GOP
-// index. Serve it with Server.ClassifyVideoStored, Server.SelectVideo, or
+// StoredVideo is a handle to one indexed video: the primary stream plus its
+// low-resolution renditions, each carrying its GOP index. A MediaStore hands
+// out handles whose streams, GOP indexes and proxy score tables are
+// persisted; IndexVideo builds an unnamed in-memory handle from raw bytes.
+// Serve either with Server.ClassifyVideoStored, Server.SelectVideo, or
 // Server.EstimateMeanStored.
 type StoredVideo struct {
 	// st is the owning store: queries read persisted proxy score tables
@@ -91,13 +94,17 @@ func (v *StoredVideo) Name() string { return v.v.Name }
 // Info returns the primary stream's probed geometry.
 func (v *StoredVideo) Info() VideoInfo { return v.v.Primary.Info }
 
-// requestVideo indexes a raw request stream and its variants into an
-// in-memory StoredVideo with no owning store (st == nil) — the ephemeral
-// index that lets raw bytes take the stored path. Nothing is persisted, and
-// no proxy score table is read or written.
-func requestVideo(stream []byte, variants [][]byte) (*StoredVideo, error) {
+// IndexVideo indexes a raw SVID stream and its natively stored
+// low-resolution renditions (the paper's natively-present low-resolution
+// lever, e.g. a 480p proxy encoded alongside the full stream) into an
+// in-memory StoredVideo with no owning store: one header probe and
+// record-header scan per stream, no payload decode. Every rendition must
+// share the primary's frame count. Nothing is persisted, and no proxy score
+// table is read or written, so SelectVideo over the handle scores its proxy
+// live on every call. ServePlan.Stream n > 0 names renditions[n-1].
+func IndexVideo(stream []byte, renditions ...[]byte) (*StoredVideo, error) {
 	v := &store.Video{}
-	for i, data := range append([][]byte{stream}, variants...) {
+	for i, data := range append([][]byte{stream}, renditions...) {
 		str, err := store.IndexStream(data)
 		if err != nil {
 			return nil, fmt.Errorf("smol: indexing video stream %d: %w", i, err)
@@ -140,19 +147,20 @@ func (v *StoredVideo) Renditions() []VideoInfo {
 	return out
 }
 
-// ClassifyVideoStored serves a sampled-classification request from the
-// media store. The planner chooses jointly across the zoo and the video's
-// ingested renditions (opts.Variants is ignored — a stored video's
-// renditions ARE its variants); the chosen stream is then sampled through
-// its GOP index: the request plans its sample positions up front, groups
-// them by containing GOP, and fans disjoint GOPs across a bounded pool of
-// resident decoders (min(GOMAXPROCS, 4)). Each GOP is an
-// independent decode unit, so the workers reconstruct bit-identically to a
-// sequential decode, and the frames still enter the shared warm engine in
-// frame order. With RuntimeConfig.DisableGOPSeek the request falls back to
-// the single-decoder sequential path over the same chosen stream — the
-// equivalence oracle for this fan-out. ClassifyVideo serves raw bytes
-// through this same path.
+// ClassifyVideoStored serves a sampled-classification request over an
+// indexed video. The planner chooses jointly across the zoo and the video's
+// renditions; the chosen stream is then sampled through its GOP index: the
+// request plans its sample positions up front, groups them by containing
+// GOP, and fans disjoint GOPs across a bounded pool of resident decoders
+// (min(GOMAXPROCS, 4)). Each GOP is an independent decode unit, so the
+// workers reconstruct bit-identically to a sequential decode, and the
+// frames still enter the shared warm engine in frame order. With
+// RuntimeConfig.DisableGOPSeek the request falls back to the single-decoder
+// sequential path over the same chosen stream — the equivalence oracle for
+// this fan-out. Sampled frames flow through the same
+// per-class tensor pools, batch streams and compiled forwards as
+// still-image traffic, and may share batches with concurrent still-image
+// requests routed to the same zoo entry.
 func (s *Server) ClassifyVideoStored(ctx context.Context, v *StoredVideo, opts VideoOpts) (VideoResult, error) {
 	streams, infos, err := v.streams()
 	if err != nil {
@@ -168,13 +176,22 @@ func (s *Server) ClassifyVideoStored(ctx context.Context, v *StoredVideo, opts V
 	return s.classifyStream(ctx, streams[choice.stream], ent, plan, stride, decOpts, seek)
 }
 
-// EstimateMeanStored answers an EstimateMean aggregation query over a
-// stored video: the planner chooses among its renditions (opts.Variants is
-// ignored), and a persisted blob score table for the chosen stream replaces
-// the cheap full pass. Decoded frames are retained for the sampled target
-// pass while they fit the aggregation retention budget; past it each
-// sampled frame is re-decoded through the GOP index at the cost of its
-// intra-GOP prefix. EstimateMean answers raw bytes through this same path.
+// EstimateMeanStored answers a BlazeIt-style aggregation query (§3.2) over
+// an indexed video: estimate the mean of the target model's per-frame
+// prediction to within opts.ErrTarget, using the cheap specialized model
+// (blazeit.BlobCounter on every decoded frame) as a control variate so the
+// expensive target — the zoo entry the QoS target selects, executed
+// through the warm pipeline — runs on as few frames as possible. For a zoo
+// trained so that the class index is the per-frame object count, the
+// estimate is the mean object count. The returned TargetInvocations is the
+// query's cost driver: the better the specialized model tracks the target,
+// the fewer samples the confidence interval needs (§8.4).
+//
+// The planner chooses among the video's renditions, and a persisted blob
+// score table for the chosen stream replaces the cheap full pass. Decoded
+// frames are retained for the sampled target pass while they fit the
+// aggregation retention budget; past it each sampled frame is re-decoded
+// through the GOP index at the cost of its intra-GOP prefix.
 func (s *Server) EstimateMeanStored(ctx context.Context, v *StoredVideo, opts AggregateOpts) (AggregateResult, error) {
 	streams, infos, err := v.streams()
 	if err != nil {

@@ -53,10 +53,10 @@ func trainTinyZoo(t *testing.T) (*Zoo, []LabeledImage) {
 	return tinyZoo, test
 }
 
-func encodeTestSet(test []LabeledImage) []EncodedImage {
-	inputs := make([]EncodedImage, len(test))
+func encodeTestSet(test []LabeledImage) []MediaInput {
+	inputs := make([]MediaInput, len(test))
 	for i, li := range test {
-		inputs[i] = EncodedImage{Data: EncodeJPEG(li.Image, 95)}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: EncodeJPEG(li.Image, 95)}
 	}
 	return inputs
 }
@@ -110,11 +110,11 @@ func TestZooRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := encodeTestSet(test)
-	a, err := rtOrig.Classify(inputs)
+	a, err := classifyOnce(rtOrig, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rtLoaded.Classify(inputs)
+	b, err := classifyOnce(rtLoaded, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPlannerStrictFloorMatchesSingleModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := single.Classify(inputs)
+		ref, err := classifyOnce(single, inputs, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestPlannerStrictFloorMatchesSingleModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := zr.ClassifyQoS(inputs, QoS{MinAccuracy: best.Accuracy})
+		res, err := classifyOnce(zr, inputs, QoS{MinAccuracy: best.Accuracy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,10 +176,10 @@ func TestPlannerQoSRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := encodeTestSet(test)
-	if _, err := zr.ClassifyQoS(inputs, QoS{MinAccuracy: 0.99}); err == nil {
+	if _, err := classifyOnce(zr, inputs, QoS{MinAccuracy: 0.99}); err == nil {
 		t.Fatal("floor above every entry's accuracy should fail")
 	}
-	res, err := zr.ClassifyQoS(inputs, QoS{MinAccuracy: 0.5})
+	res, err := classifyOnce(zr, inputs, QoS{MinAccuracy: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestServerMixedQoSConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := single.Classify(inputs)
+	ref, err := classifyOnce(single, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestServerMixedQoSConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(c int, qos QoS) {
 			defer wg.Done()
-			results[c], errs[c] = srv.ClassifyQoS(context.Background(), inputs, qos)
+			results[c], errs[c] = srv.ClassifyMedia(context.Background(), inputs, qos)
 		}(c, qos)
 	}
 	wg.Wait()
@@ -343,11 +343,11 @@ func TestTrainZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := make([]EncodedImage, 8)
+	inputs := make([]MediaInput, 8)
 	for i := range inputs {
-		inputs[i] = EncodedImage{Data: EncodeJPEG(images[i].Image, 95)}
+		inputs[i] = MediaInput{Codec: CodecJPEG, Data: EncodeJPEG(images[i].Image, 95)}
 	}
-	res, err := zr.Classify(inputs)
+	res, err := classifyOnce(zr, inputs, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestTrainZoo(t *testing.T) {
 	}
 }
 
-// TestPlannerEmptyRequest: an empty Classify must stay a successful no-op
+// TestPlannerEmptyRequest: an empty ClassifyMedia request must stay a successful no-op
 // (no calibration pass, no fabricated input class), while an
 // unsatisfiable accuracy floor still fails.
 func TestPlannerEmptyRequest(t *testing.T) {
@@ -370,14 +370,14 @@ func TestPlannerEmptyRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res, err := srv.ClassifyQoS(context.Background(), nil, QoS{MaxLatencyUS: 1})
+	res, err := srv.ClassifyMedia(context.Background(), nil, QoS{MaxLatencyUS: 1})
 	if err != nil {
 		t.Fatalf("empty request failed: %v", err)
 	}
 	if len(res.Predictions) != 0 || res.Plan.Entry == "" {
 		t.Fatalf("empty request result %+v", res)
 	}
-	if _, err := srv.ClassifyQoS(context.Background(), nil, QoS{MinAccuracy: 0.99}); err == nil {
+	if _, err := srv.ClassifyMedia(context.Background(), nil, QoS{MinAccuracy: 0.99}); err == nil {
 		t.Fatal("unsatisfiable floor on empty request should fail")
 	}
 }
