@@ -27,7 +27,8 @@
 // Video serving mode (classifies an SVID file — e.g. one written by
 // smol-datagen -videos — through the warm engine; the video planner picks
 // deblocking, the stored rendition, the zoo entry, and the preprocessing
-// chain jointly; -explain prints the chosen video plan):
+// chain jointly; -explain prints the chosen video plan; -lowres serves
+// the raw stream only and is refused with -store):
 //
 //	smol-query -video out/video/taipei-full.vid -stride 5 -explain
 //	smol-query -video taipei-full.vid -lowres taipei-low.vid -zoo -minacc 0.8 -explain
@@ -106,6 +107,8 @@ func main() {
 		log.Fatalf("smol-query: -store requires -video (the media store ingests and serves video streams)")
 	case *lowres != "" && *video == "":
 		log.Fatalf("smol-query: -lowres requires -video (it supplies a low-resolution rendition of that stream)")
+	case *lowres != "" && *storeDir != "":
+		log.Fatalf("smol-query: -lowres cannot be combined with -store (the media store ingests only the -video stream; serve the rendition without -store)")
 	case *selectQ && *video == "":
 		log.Fatalf("smol-query: -select requires -video (selection queries run over a video stream)")
 	case *selectQ && *storeDir == "":
@@ -263,11 +266,12 @@ func serveClassify(name string, requests, execPar int, roiDecode, useZoo, useInt
 // model (or zoo) on the synthetic image dataset, then streams the video's
 // sampled frames through the media-generic pipeline, letting the video
 // planner jointly pick deblocking, the stored rendition (when -lowres
-// supplies one), the zoo entry, and the preprocessing chain for the -minacc
-// target. With storeDir the video is first ingested into the indexed media
-// store there and served store-backed: the persisted GOP index lets
-// sampling seek straight to the sampled GOPs and fan them across a decoder
-// pool (noSeek forces the sequential baseline for comparison).
+// supplies one, which main allows only without storeDir), the zoo entry,
+// and the preprocessing chain for the -minacc target. With storeDir the
+// video is first ingested into the indexed media store there and served
+// store-backed: the persisted GOP index lets sampling seek straight to the
+// sampled GOPs and fan them across a decoder pool (noSeek forces the
+// sequential baseline for comparison).
 func videoClassify(path, lowPath, storeDir, dataset string, stride, execPar int, roiDecode,
 	useZoo, useInt8, noSeek bool, minAcc float64, explain bool) {
 	streamData, err := os.ReadFile(path)

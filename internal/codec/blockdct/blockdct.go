@@ -223,3 +223,17 @@ func FDCTRaw(samples, out *Block) { fdctShift(samples, out, 0) }
 
 // IDCTRaw inverts FDCTRaw, clamping residuals to [-255, 255].
 func IDCTRaw(coeffs, out *Block) { idctShift(coeffs, out, 0, -255, 255) }
+
+// DCSample returns the one sample IDCTScaled(coeffs, out, 1) writes for a
+// block whose dequantized DC coefficient is dc, with the same float
+// operations, so a 1x1 reconstruction need not fill a Block.
+func DCSample(dc int32) int32 {
+	t := scaledBasis[scaledIndex(1)][0][0]
+	v := int32(math.RoundToEven(0.25*(t*(t*float64(dc))))) + 128
+	if v < 0 {
+		return 0
+	} else if v > 255 {
+		return 255
+	}
+	return v
+}

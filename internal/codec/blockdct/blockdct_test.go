@@ -150,6 +150,24 @@ func TestIDCTScaledDCOnly(t *testing.T) {
 	}
 }
 
+// TestDCSampleMatchesIDCTScaled: DCSample must return IDCTScaled's 1x1
+// sample exactly for every dequantized DC in [-2^16, 2^16] and at the int32
+// extremes, which a hostile stream reaches by drifting the DC predictor.
+func TestDCSampleMatchesIDCTScaled(t *testing.T) {
+	dcs := []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32}
+	for dc := int32(-1 << 16); dc <= 1<<16; dc++ {
+		dcs = append(dcs, dc)
+	}
+	for _, dc := range dcs {
+		var coeffs, out Block
+		coeffs[0] = dc
+		IDCTScaled(&coeffs, &out, 1)
+		if got := DCSample(dc); got != out[0] {
+			t.Fatalf("DCSample(%d) = %d, IDCTScaled gives %d", dc, got, out[0])
+		}
+	}
+}
+
 // TestIDCTScaledMatchesBoxAverage: for band-limited blocks (only the
 // lowest n x n frequencies populated) the reduced reconstruction must
 // equal the box average of the full reconstruction — the scaled basis is

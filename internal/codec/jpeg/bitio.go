@@ -1,6 +1,7 @@
 package jpeg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -37,25 +38,42 @@ func (w *bitWriter) flush() {
 }
 
 // bitReader reads MSB-first bits from entropy-coded data, removing 0xFF00
-// stuffing and stopping at markers.
+// stuffing and stopping at markers. The 64-bit accumulator holds up to 64
+// bits, so one fill serves several symbols and the block decoder can
+// consume a code and its magnitude bits in one step.
 type bitReader struct {
 	data []byte
 	pos  int
-	acc  uint32
+	acc  uint64
 	n    uint
-	// bytesRead counts entropy bytes consumed, used by the partial-decoding
+	// bytesRead counts entropy bytes moved into the accumulator (up to 8
+	// bytes ahead of the bits decoded), used by the partial-decoding
 	// statistics to quantify early-stop savings.
 	bytesRead int
 }
 
 var errMarker = fmt.Errorf("jpeg: marker in entropy stream")
 
-// fill tops the buffer up to more than 24 bits, stopping early at the end
-// of the data or at a marker. It returns an error only when no bit is
+// fill tops the buffer up to more than 56 bits, stopping early at the end
+// of the data or at a marker. When the next 8 bytes hold no 0xFF (so no
+// stuffing and no marker), it loads as many of them as fit in one step;
+// otherwise the byte loop runs. It returns an error only when no bit is
 // buffered and none can be read, so a caller that finds enough bits
 // buffered afterwards may ignore it.
 func (r *bitReader) fill() error {
-	for r.n <= 24 {
+	if r.n <= 56 && r.pos+8 <= len(r.data) {
+		x := binary.BigEndian.Uint64(r.data[r.pos:])
+		// SWAR zero-byte test on ^x: a 0xFF byte of x is a zero byte of ^x.
+		if y := ^x; (y-0x0101010101010101)&^y&0x8080808080808080 == 0 {
+			nb := (64 - r.n) / 8
+			r.acc = r.acc<<(nb*8) | x>>(64-nb*8)
+			r.n += nb * 8
+			r.pos += int(nb)
+			r.bytesRead += int(nb)
+			return nil
+		}
+	}
+	for r.n <= 56 {
 		if r.pos >= len(r.data) {
 			if r.n == 0 {
 				return io.ErrUnexpectedEOF
@@ -87,7 +105,7 @@ func (r *bitReader) fill() error {
 			r.pos++
 			r.bytesRead++
 		}
-		r.acc = r.acc<<8 | uint32(b)
+		r.acc = r.acc<<8 | uint64(b)
 		r.n += 8
 	}
 	return nil
@@ -134,10 +152,21 @@ func isRST(b byte) bool { return b >= 0xd0 && b <= 0xd7 }
 
 // syncToRestart discards any buffered partial byte, consumes the expected
 // restart marker, and leaves the reader positioned at the start of the next
-// restart segment.
+// restart segment. The marker is expected right after the last byte the
+// scan consumed bits of, however far fill read ahead.
 func (r *bitReader) syncToRestart() error {
-	// Drop buffered bits: the encoder byte-aligned before the marker, so
-	// anything buffered is padding.
+	// The encoder byte-aligned before the marker, so a partial byte is
+	// padding. Whole buffered bytes were read ahead but not consumed: step
+	// back over them. fill loads 0xFF only as a stuffed 0xFF00 pair and
+	// never past a marker, so a 0x00 after 0xFF is such a pair.
+	for ; r.n >= 8; r.n -= 8 {
+		r.pos--
+		r.bytesRead--
+		if r.data[r.pos] == 0x00 && r.pos > 0 && r.data[r.pos-1] == 0xff {
+			r.pos--
+			r.bytesRead--
+		}
+	}
 	r.acc, r.n = 0, 0
 	if r.pos+2 > len(r.data) {
 		return io.ErrUnexpectedEOF

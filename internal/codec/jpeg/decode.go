@@ -26,7 +26,9 @@ type DecodeStats struct {
 	// The ratio IDCTSamples/BlocksIDCT exposes how much reconstruction
 	// arithmetic a reduced-resolution decode skipped.
 	IDCTSamples int
-	// EntropyBytesRead counts compressed bytes consumed from the scan.
+	// EntropyBytesRead counts compressed bytes consumed from the scan. The
+	// bit reader buffers ahead, so the count can exceed the bytes the
+	// decoded bits span by up to 8.
 	EntropyBytesRead int
 	// PixelsColorConverted counts output pixels that were color converted.
 	PixelsColorConverted int
@@ -53,13 +55,16 @@ type DecodeOptions struct {
 	// Scale, when > 1, reconstructs at reduced resolution directly in the
 	// DCT domain: each 8x8 block inverse-transforms only its lowest
 	// (8/Scale)^2 frequencies through a reduced 4x4/2x2/1x1 IDCT, so IDCT
-	// and color conversion cost shrinks by ~Scale^2. Entropy decoding still
+	// and color conversion cost shrinks by ~Scale^2; at 1/8 each block is
+	// its DC sample, filled without a transform. Entropy decoding still
 	// reads every symbol, but AC coefficients outside the (8/Scale)^2
-	// window are consumed without sign extension or store. Supported values
-	// are 1 (or 0), 2, 4 and 8. The output approximates a full decode
-	// followed by a box downsample by Scale, with dimensions img.ScaledDims
-	// of the reconstructed region. Composes with ROI and EarlyStopRow, whose
-	// coordinates stay in full-resolution pixels.
+	// window are consumed without sign extension or store, several symbols
+	// per table lookup past the window's last zig-zag index (at 1/8, every
+	// AC symbol). Supported values are 1 (or 0), 2, 4 and 8. The output
+	// approximates a full decode followed by a box downsample by Scale,
+	// with dimensions img.ScaledDims of the reconstructed region. Composes
+	// with ROI and EarlyStopRow, whose coordinates stay in full-resolution
+	// pixels.
 	Scale int
 	// Dst, when non-nil, receives the decoded pixels: it is reshaped (the
 	// buffer is reused when large enough) and returned, so warm serving
@@ -448,78 +453,52 @@ func (d *decoder) parseSOS(p []byte) error {
 
 // keepCoeff[sub][k] reports whether zig-zag position k lies inside the
 // lowest sub x sub frequencies, the only ones reconstruction at sub
-// samples per block edge reads. keepCoeff[0] keeps nothing: it serves
-// blocks that are entropy-decoded but not reconstructed.
-var keepCoeff = func() (t [blockSize + 1][64]bool) {
+// samples per block edge reads. lastKeep[sub] is the largest such k:
+// past it a block keeps nothing, so its AC symbols are skipped. Index 0
+// keeps nothing: it serves blocks that are entropy-decoded but not
+// reconstructed.
+var keepCoeff, lastKeep = func() (t [blockSize + 1][64]bool, last [blockSize + 1]int) {
 	for sub := range t {
 		for k, n := range zigzag {
 			t[sub][k] = n%blockSize < sub && n/blockSize < sub
+			if t[sub][k] {
+				last[sub] = k
+			}
 		}
 	}
-	return t
+	return t, last
 }()
+
+// fusedBits is the buffered-bit count at which the block decoder consumes
+// a lookup-resolved code and its magnitude in one step: a code of at most
+// lookupBits bits plus at most 15 magnitude bits.
+const fusedBits = lookupBits + 15
+
+var errACOverflow = errors.New("jpeg: AC coefficient index overflow")
 
 // decodeBlock entropy-decodes one 8x8 block and, when reconstruct is set,
 // dequantizes, inverse-transforms at the requested sub-resolution (sub x
 // sub samples, sub = 8/scale) and stores the samples into dst at block
-// coordinates (bx, by) on the scaled grid. AC coefficients outside the
-// reconstructed window are consumed but neither sign-extended nor stored.
+// coordinates (bx, by) on the scaled grid.
 func (d *decoder) decodeBlock(comp int, reconstruct bool, dst *plane, bx, by, sub int) error {
-	c := &d.comps[comp]
-	dc := d.dcTab[c.dcSel]
-	ac := d.acTab[c.acSel]
-	br := &d.br
-	// DC.
-	sym, err := dc.decode(br)
-	if err != nil {
-		return err
-	}
-	bits, err := br.readBits(sym)
-	if err != nil {
-		return err
-	}
-	d.dcPred[comp] += extendMagnitude(bits, sym)
-	coeffs := &d.coeffs
-	keep := &keepCoeff[0]
-	if reconstruct {
-		keep = &keepCoeff[sub]
-		for v := 0; v < sub; v++ {
-			clear(coeffs[v*blockSize : v*blockSize+sub])
-		}
-		coeffs[0] = d.dcPred[comp]
-	}
-	// AC.
-	for k := 1; k < 64; {
-		sym, err := ac.decode(br)
-		if err != nil {
-			return err
-		}
-		run := int(sym >> 4)
-		size := sym & 0xf
-		if size == 0 {
-			if run == 15 { // ZRL
-				k += 16
-				continue
-			}
-			break // EOB
-		}
-		k += run
-		if k > 63 {
-			return errors.New("jpeg: AC coefficient index overflow")
-		}
-		bits, err := br.readBits(size)
-		if err != nil {
-			return err
-		}
-		if keep[k] {
-			coeffs[zigzag[k]] = extendMagnitude(bits, size)
-		}
-		k++
-	}
 	if !reconstruct {
+		return d.decodeCoeffs(comp, 0)
+	}
+	if err := d.decodeCoeffs(comp, sub); err != nil {
+		return err
+	}
+	c := &d.comps[comp]
+	coeffs := &d.coeffs
+	q := &d.quant[c.quantSel]
+	d.stats.BlocksIDCT++
+	d.stats.IDCTSamples += sub * sub
+	if sub == 1 {
+		// A 1x1 reconstruction reads only the DC coefficient.
+		if by < dst.h && bx < dst.w {
+			dst.pix[by*dst.w+bx] = uint8(blockdct.DCSample(d.dcPred[comp] * q[0]))
+		}
 		return nil
 	}
-	q := &d.quant[c.quantSel]
 	samples := &d.samples
 	if sub == blockSize {
 		for i := 0; i < 64; i++ {
@@ -535,8 +514,6 @@ func (d *decoder) decodeBlock(comp int, reconstruct bool, dst *plane, bx, by, su
 		}
 		idctScaled(coeffs, samples, sub)
 	}
-	d.stats.BlocksIDCT++
-	d.stats.IDCTSamples += sub * sub
 	// Store into destination plane (clipped).
 	for yy := 0; yy < sub; yy++ {
 		py := by*sub + yy
@@ -552,6 +529,174 @@ func (d *decoder) decodeBlock(comp int, reconstruct bool, dst *plane, bx, by, su
 		}
 	}
 	return nil
+}
+
+// decodeCoeffs entropy-decodes one block of component comp, updating its
+// DC predictor. For sub > 1 it stores the coefficients of the lowest sub x
+// sub frequencies into d.coeffs, the DC coefficient included; AC
+// coefficients outside that window are consumed but neither sign-extended
+// nor stored. sub 0 and 1 store nothing.
+func (d *decoder) decodeCoeffs(comp, sub int) error {
+	c := &d.comps[comp]
+	br := &d.br
+	dc := d.dcTab[c.dcSel]
+	if br.n < fusedBits {
+		_ = br.fill() // a short buffer takes the decode path, which reports the error
+	}
+	if e := dc.lookup[br.acc>>(br.n-lookupBits)&(1<<lookupBits-1)]; br.n >= fusedBits && e != 0 && e&0xf0 == 0 {
+		// A lookup hit whose size fits the fused step: code and magnitude.
+		size := uint(e & 0xf)
+		br.n -= uint(e>>8) + size
+		d.dcPred[comp] += extendMagnitude(uint16(br.acc>>br.n&(1<<size-1)), uint8(size))
+	} else {
+		sym, err := dc.decode(br)
+		if err != nil {
+			return err
+		}
+		bits, err := br.readBits(sym)
+		if err != nil {
+			return err
+		}
+		d.dcPred[comp] += extendMagnitude(bits, sym)
+	}
+	if sub > 1 {
+		for v := 0; v < sub; v++ {
+			clear(d.coeffs[v*blockSize : v*blockSize+sub])
+		}
+		d.coeffs[0] = d.dcPred[comp]
+	}
+	return d.decodeAC(d.acTab[c.acSel], &keepCoeff[sub], lastKeep[sub])
+}
+
+// decodeAC consumes one block's AC symbols through end-of-block or
+// position 63, storing each coefficient keep marks into d.coeffs. Up to
+// zig-zag index last it resolves one symbol per step: a lookup hit with
+// fusedBits buffered consumes the code and its magnitude at once, and
+// decode plus readBits serve long codes and the stream tail. Past last
+// nothing is kept, so the skip table consumes every whole symbol of the
+// next skipBits bits per lookup while the block has room for its advance.
+// The two phases are separate loops, each with its own fallback: one loop
+// branching on k > last per symbol decoded photo-like 1080p streams 4-10 %
+// slower at scales 4 and 8.
+func (d *decoder) decodeAC(ac *decHuff, keep *[64]bool, last int) error {
+	br := &d.br
+	coeffs := &d.coeffs
+	k := 1
+	for k <= last {
+		if br.n < fusedBits {
+			_ = br.fill() // a short buffer takes the decode path, which reports the error
+		}
+		if br.n >= fusedBits {
+			if e := ac.lookup[br.acc>>(br.n-lookupBits)&(1<<lookupBits-1)]; e != 0 {
+				br.n -= uint(e >> 8)
+				run, size := int(e>>4&0xf), uint(e&0xf)
+				if size == 0 {
+					if run != 15 {
+						return nil // EOB
+					}
+					k += 16 // ZRL
+					continue
+				}
+				if k += run; k > 63 {
+					return errACOverflow
+				}
+				br.n -= size
+				if keep[k] {
+					coeffs[zigzag[k]] = extendMagnitude(uint16(br.acc>>br.n&(1<<size-1)), uint8(size))
+				}
+				k++
+				continue
+			}
+		}
+		sym, err := ac.decode(br)
+		if err != nil {
+			return err
+		}
+		run, size := int(sym>>4), sym&0xf
+		if size == 0 {
+			if run != 15 {
+				return nil // EOB
+			}
+			k += 16 // ZRL
+			continue
+		}
+		if k += run; k > 63 {
+			return errACOverflow
+		}
+		bits, err := br.readBits(size)
+		if err != nil {
+			return err
+		}
+		if keep[k] {
+			coeffs[zigzag[k]] = extendMagnitude(bits, size)
+		}
+		k++
+	}
+	for k < 64 {
+		if br.n < skipBits {
+			_ = br.fill()
+		}
+		if br.n >= skipBits {
+			e := ac.skip[br.acc>>(br.n-skipBits)&(1<<skipBits-1)]
+			if adv := int(e >> skipAdvShift & 0xff); e&0xf != 0 && k+adv < 64 {
+				br.n -= uint(e & 0xf)
+				if e&skipEOB != 0 {
+					return nil
+				}
+				k += adv
+				continue
+			}
+		}
+		sym, err := ac.decode(br)
+		if err != nil {
+			return err
+		}
+		run, size := int(sym>>4), sym&0xf
+		if size == 0 {
+			if run != 15 {
+				return nil // EOB
+			}
+			k += 16 // ZRL
+			continue
+		}
+		if k += run; k > 63 {
+			return errACOverflow
+		}
+		if _, err := br.readBits(size); err != nil {
+			return err
+		}
+		k++
+	}
+	return nil
+}
+
+// checkScanTables reports an error unless the current stream defined every
+// Huffman and quantization table its scan references.
+func (d *decoder) checkScanTables() error {
+	for i := range d.comps {
+		c := &d.comps[i]
+		if c.dcSel > 3 || c.acSel > 3 ||
+			!d.dhtSeen[0][c.dcSel] || !d.dhtSeen[1][c.acSel] ||
+			d.dcTab[c.dcSel] == nil || d.acTab[c.acSel] == nil {
+			return errors.New("jpeg: scan references missing huffman table")
+		}
+		if !d.dqtSeen[c.quantSel] {
+			return errors.New("jpeg: scan references missing quant table")
+		}
+	}
+	return nil
+}
+
+// buildSkipTables builds the skip tables of the scan's AC tables that lack
+// one. decodeAC reads them whenever a block keeps fewer than all 64
+// coefficients: at every scale above 1 and outside an ROI. A full decode
+// never does, so it does not pay for building them.
+func (d *decoder) buildSkipTables() {
+	for i := range d.comps {
+		if ac := d.acTab[d.comps[i].acSel]; ac.skip == nil {
+			ac.buildSkip()
+		}
+	}
 }
 
 // decodeScan entropy-decodes MCUs and reconstructs the requested region at
@@ -613,16 +758,11 @@ func (d *decoder) decodeScan(opts DecodeOptions) (*img.Image, img.Rect, error) {
 	cbPlane := d.sizedPlane(1, cw, ch)
 	crPlane := d.sizedPlane(2, cw, ch)
 
-	for i := range d.comps {
-		c := &d.comps[i]
-		if c.dcSel > 3 || c.acSel > 3 ||
-			!d.dhtSeen[0][c.dcSel] || !d.dhtSeen[1][c.acSel] ||
-			d.dcTab[c.dcSel] == nil || d.acTab[c.acSel] == nil {
-			return nil, img.Rect{}, errors.New("jpeg: scan references missing huffman table")
-		}
-		if !d.dqtSeen[c.quantSel] {
-			return nil, img.Rect{}, errors.New("jpeg: scan references missing quant table")
-		}
+	if err := d.checkScanTables(); err != nil {
+		return nil, img.Rect{}, err
+	}
+	if sub < blockSize || opts.ROI != nil {
+		d.buildSkipTables()
 	}
 
 	d.br = bitReader{data: d.data[d.scanStart:]}

@@ -31,15 +31,41 @@ func buildEncHuff(spec huffSpec) *encHuff {
 // step. Nine bits cover nearly every symbol of the Annex K tables.
 const lookupBits = 9
 
+// skipBits is the window an AC table's skip entry resolves: every whole
+// symbol (code plus magnitude bits) that fits in the next skipBits bits.
+const skipBits = 12
+
+// Skip entry layout: bits consumed in the low 4 bits, the zig-zag advance
+// (at most 12 ZRLs, 192) in the next 8, and skipEOB when the last symbol
+// is an end-of-block.
+const (
+	skipAdvShift = 4
+	skipEOB      = 1 << 12
+)
+
 // decHuff is a decoder-side Huffman table. Codes of at most lookupBits bits
 // resolve through a direct lookup; longer codes, and any code read while
 // fewer than lookupBits bits remain, use the standard JPEG
 // min-code/max-code/value-pointer procedure (T.81 Annex F.2.2.3).
+//
+// The block decoder also reads lookup as a fused run/size table: one hit
+// gives the code length and the symbol, whose low nibble is the magnitude
+// size, so with enough bits buffered the code and its magnitude are
+// consumed in one step. AC tables of scans that skip coefficients also
+// carry skip, which consumes several symbols at once where a block keeps
+// no coefficient.
 type decHuff struct {
 	// lookup is indexed by the next lookupBits bits of the stream and holds
 	// len<<8 | symbol for the code they start with, or 0 when that code is
 	// longer than lookupBits or the bits start no code.
-	lookup  [1 << lookupBits]uint16
+	lookup [1 << lookupBits]uint16
+	// skip, nil for DC tables and until a decode first skips coefficients
+	// (see decoder.buildSkipTables), is indexed by the next skipBits bits and
+	// holds the bits consumed, the zig-zag advance (run+1 per coefficient,
+	// 16 per ZRL) and skipEOB for the whole AC symbols those bits hold, up
+	// to and including an end-of-block. An entry of 0 bits means the first
+	// symbol does not fit.
+	skip    *[1 << skipBits]uint16
 	minCode [17]int32
 	maxCode [17]int32 // -1 when no codes of this length
 	valPtr  [17]int32
@@ -90,6 +116,48 @@ func buildDecHuff(spec huffSpec) *decHuff {
 		code <<= 1
 	}
 	return h
+}
+
+// buildSkip fills the skip table of an AC table. The entry of an r-bit
+// window is its first symbol plus the entry of the bits that symbol
+// leaves, so the windows are built from 1 bit up to skipBits, each from
+// narrower ones: every code that fits fills the windows it prefixes, and
+// windows no whole symbol fits stay 0. The table's counts must have passed
+// checkHuffSpec, so every code of length n is below 1<<n.
+func (h *decHuff) buildSkip() {
+	h.skip = new([1 << skipBits]uint16)
+	// part[1<<r : 2<<r] holds the entries of the r-bit windows, r < skipBits.
+	var part [1 << skipBits]uint16
+	for r := uint(1); r <= skipBits; r++ {
+		level := h.skip[:]
+		if r < skipBits {
+			level = part[1<<r : 2<<r]
+		}
+		for n := uint(1); n <= r; n++ {
+			for code := h.minCode[n]; code <= h.maxCode[n]; code++ {
+				sym := h.values[h.valPtr[n]+code-h.minCode[n]]
+				size := uint(sym & 0xf)
+				if n+size > r {
+					continue
+				}
+				win := level[uint32(code)<<(r-n) : uint32(code+1)<<(r-n)]
+				if size == 0 && sym>>4 != 15 { // EOB
+					for j := range win {
+						win[j] = uint16(n) | skipEOB
+					}
+					continue
+				}
+				// Bits consumed and advances add; the EOB flag comes from
+				// the rest, whose entry is 0 when nothing fits.
+				rest := r - n - size
+				e := uint16(n+size) + uint16(sym>>4+1)<<skipAdvShift
+				sub := part[1<<rest : 2<<rest]
+				for j := range win {
+					win[j] = e + sub[uint(j)&(1<<rest-1)]
+				}
+			}
+		}
+	}
 }
 
 // fillLookup enters the n codes of the given length starting at code (and

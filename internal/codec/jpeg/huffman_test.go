@@ -74,9 +74,8 @@ func randomHuffSpec(rng *rand.Rand) huffSpec {
 type diffOp struct{ bits uint8 }
 
 // hostileStream encodes a random script of symbols and raw bit fields
-// with spec, then damages it the ways real streams end or break: cut
-// short, a marker spliced in, random bytes (with stuffed and unstuffed
-// 0xFF) appended or substituted.
+// with spec, then damages it: cut short, a marker spliced in, random bytes
+// (with stuffed and unstuffed 0xFF) appended or substituted.
 func hostileStream(rng *rand.Rand, spec huffSpec) ([]diffOp, []byte) {
 	enc := buildEncHuff(spec)
 	var bw bitWriter
@@ -92,7 +91,17 @@ func hostileStream(rng *rand.Rand, spec huffSpec) ([]diffOp, []byte) {
 		bw.writeBits(uint16(rng.Intn(1<<n)), n)
 	}
 	bw.flush()
-	data := bw.buf
+	data := damage(rng, bw.buf)
+	// Keep reading past the encoded script so every stream ends in an error.
+	for n := 1 + rng.Intn(8); n > 0; n-- {
+		ops = append(ops, diffOp{uint8(rng.Intn(18))})
+	}
+	return ops, data
+}
+
+// damage breaks an encoded entropy stream the ways real streams end or
+// break, or leaves it intact one time in six.
+func damage(rng *rand.Rand, data []byte) []byte {
 	switch rng.Intn(6) {
 	case 0: // short tail
 		data = data[:rng.Intn(len(data)+1)]
@@ -113,11 +122,7 @@ func hostileStream(rng *rand.Rand, spec huffSpec) ([]diffOp, []byte) {
 	case 4: // a lone 0xFF as the last byte
 		data = append(data, 0xff)
 	}
-	// Keep reading past the encoded script so every stream ends in an error.
-	for n := 1 + rng.Intn(8); n > 0; n-- {
-		ops = append(ops, diffOp{uint8(rng.Intn(18))})
-	}
-	return ops, data
+	return data
 }
 
 // TestHuffmanDecodeMatchesSerialOracle: the table-driven decode and the

@@ -1,6 +1,7 @@
 package jpeg
 
 import (
+	"fmt"
 	"testing"
 
 	"smol/internal/img"
@@ -110,5 +111,42 @@ func TestRestartCorruptMarkerDetected(t *testing.T) {
 	}
 	if _, err := Decode(corrupted); err == nil {
 		t.Fatal("corrupt restart marker should fail decoding")
+	}
+}
+
+// TestRestartMarkerExpectedAfterConsumedBytes: a byte spliced in before a
+// restart marker is data no MCU consumes, so every scale must report the
+// marker missing at that byte's offset, whether or not the bit reader had
+// already read the byte ahead.
+func TestRestartMarkerExpectedAfterConsumedBytes(t *testing.T) {
+	m := testImage(128, 96, 23)
+	for _, sub := range []Subsampling{Sub444, Sub420} {
+		for _, interval := range []int{1, 3} {
+			enc := Encode(m, EncodeOptions{Quality: 90, Subsampling: sub, RestartInterval: interval})
+			var dec Decoder
+			if _, _, err := dec.Parse(enc); err != nil {
+				t.Fatal(err)
+			}
+			scan := dec.d.scanStart
+			for rst := scan; rst+1 < len(enc); rst++ {
+				if enc[rst] != 0xff || !isRST(enc[rst+1]) {
+					continue
+				}
+				// Splice the extra byte before this marker.
+				data := append(append(append([]byte(nil), enc[:rst]...), 0x5a), enc[rst:]...)
+				want := fmt.Sprintf("jpeg: expected restart marker at offset %d, found 5aff", rst-scan)
+				for _, scale := range SupportedScales() {
+					if _, _, err := dec.Parse(data); err != nil {
+						t.Fatal(err)
+					}
+					_, _, _, err := dec.Decode(DecodeOptions{Scale: scale})
+					if err == nil || err.Error() != want {
+						t.Fatalf("%v/%d scale %d, byte before offset %d: error %v, want %q",
+							sub, interval, scale, rst-scan, err, want)
+					}
+				}
+				rst++
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package jpeg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -326,28 +327,69 @@ func TestScaledDecodePSNRImprovesWithResolution(t *testing.T) {
 
 var sinkImage *img.Image
 
-func BenchmarkDecodeScaledHD(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	m := smoothTestImage(rng, 1920, 1080)
-	enc := Encode(m, EncodeOptions{Quality: 90, Subsampling: Sub420})
-	for _, scale := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("scale%d", scale), func(b *testing.B) {
-			var dec Decoder
-			dst := &img.Image{}
-			b.SetBytes(int64(len(enc)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := dec.Parse(enc); err != nil {
-					b.Fatal(err)
-				}
-				out, _, _, err := dec.Decode(DecodeOptions{Scale: scale, Dst: dst})
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst = out
+// photoTestImage has the statistics of the serving benchmark's HD stills:
+// a noisy gray background with a vertical gradient and a softly striped
+// colored disc, rendered as an h/2 square and upscaled bilinearly to
+// w x h. Its AC content is dense enough that entropy decoding dominates a
+// 1/8 decode.
+func photoTestImage(rng *rand.Rand, w, h int) *img.Image {
+	hw, hh := h/2, h/2
+	m := img.New(hw, hh)
+	base := 40 + rng.Intn(40)
+	for y := 0; y < hh; y++ {
+		for x := 0; x < hw; x++ {
+			v := uint8(base + y*40/hh + rng.Intn(21))
+			m.Set(x, y, v, v, v)
+		}
+	}
+	cx, cy := hw/2+rng.Intn(hw/4)-hw/8, hh/2+rng.Intn(hh/4)-hh/8
+	size := hh * (36 + rng.Intn(8)) / 100
+	freq := 0.05 + 0.1*rng.Float64()
+	for y := max(cy-size, 0); y < min(cy+size, hh); y++ {
+		for x := max(cx-size, 0); x < min(cx+size, hw); x++ {
+			dx, dy := x-cx, y-cy
+			if dx*dx+dy*dy >= size*size {
+				continue
 			}
-			sinkImage = dst
-		})
+			shade := 0.85 + 0.15*math.Sin(float64(dx+dy)*freq*math.Pi)
+			m.Set(x, y, img.ClampF(200*shade), img.ClampF(150*shade), img.ClampF(70*shade))
+		}
+	}
+	return m.ResizeBilinear(w, h)
+}
+
+// BenchmarkDecodeScaledHD times a warm Decoder on 1920x1080 q90 4:2:0
+// streams at every scale: "smooth" (sparse AC, about 97 KB) and "photo"
+// (photoTestImage, the serving benchmark's HD still statistics).
+func BenchmarkDecodeScaledHD(b *testing.B) {
+	images := []struct {
+		name string
+		m    *img.Image
+	}{
+		{"smooth", smoothTestImage(rand.New(rand.NewSource(7)), 1920, 1080)},
+		{"photo", photoTestImage(rand.New(rand.NewSource(7)), 1920, 1080)},
+	}
+	for _, im := range images {
+		enc := Encode(im.m, EncodeOptions{Quality: 90, Subsampling: Sub420})
+		for _, scale := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/scale%d", im.name, scale), func(b *testing.B) {
+				var dec Decoder
+				dst := &img.Image{}
+				b.SetBytes(int64(len(enc)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := dec.Parse(enc); err != nil {
+						b.Fatal(err)
+					}
+					out, _, _, err := dec.Decode(DecodeOptions{Scale: scale, Dst: dst})
+					if err != nil {
+						b.Fatal(err)
+					}
+					dst = out
+				}
+				sinkImage = dst
+			})
+		}
 	}
 }
 

@@ -71,9 +71,12 @@ const fuzzMaxPixels = 1 << 18
 
 // FuzzDecode feeds arbitrary bytes through Parse and a warm Decode at every
 // supported scale, plainly, with an ROI and with an early-stop row. Any
-// outcome but a panic or a wrongly sized image is acceptable. The seed
-// corpus is the truncation and bit-flip inputs above, so plain go test
-// runs it; go test -fuzz=FuzzDecode explores from there.
+// outcome but a panic or a wrongly sized image is acceptable. Every input
+// that parses is also entropy-decoded block by block through the fused and
+// skip-table path and the per-symbol oracle, which must agree (see
+// compareBlockDecode). The seed corpus is the truncation and bit-flip
+// inputs above, so plain go test runs it; go test -fuzz=FuzzDecode
+// explores from there.
 func FuzzDecode(f *testing.F) {
 	enc := truncationInput()
 	for n := 0; n <= len(enc); n += 16 {
@@ -89,6 +92,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil || w*h > fuzzMaxPixels {
 			return
 		}
+		compareParsedBlocks(t, "fuzz input", data)
 		roi := img.Rect{X0: w / 4, Y0: h / 3, X1: w - w/4, Y1: h - h/4}
 		dst := &img.Image{}
 		for _, scale := range SupportedScales() {
