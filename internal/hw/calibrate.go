@@ -17,7 +17,7 @@ type Calibration struct {
 	// further input scaling applies). Names absent from the map fall back
 	// to the static profile.
 	ExecUS map[string]float64
-	// Kernel records the f32 GEMM kernel tier ("avx2", "portable") that
+	// Kernel records the GEMM kernel tier ("avx512", "avx2", "portable") that
 	// was active when ExecUS was measured. Informational: calibration is
 	// per-runtime, so a runtime constructed with a different SIMD setting
 	// re-measures under its own tier rather than trusting stale numbers.

@@ -15,9 +15,17 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"smol/internal/tensor"
 )
+
+// setF32Wide is tensor's unexported hook that turns the AVX-512 12x16
+// kernel off (forcing the 4x16 YMM kernel onto every row quad) or back
+// on; it is not part of tensor's API, so this test reaches it by name.
+//
+//go:linkname setF32Wide smol/internal/tensor.setF32Wide
+func setF32Wide(enable bool) (previous bool)
 
 var update = flag.Bool("update", false, "regenerate testdata/logits_digests.txt from the current compiled forward")
 
@@ -54,9 +62,10 @@ func logitsDigest(t *tensor.Tensor) string {
 
 // goldenLogitsDigests runs every variant's seeded compiled plan, at f32
 // and int8, over the input grid and returns one SHA-256 per logits
-// tensor, keyed by case name. When the AVX2 f32 kernel is available the
-// f32 case runs on both kernel tiers, and the tiers must agree bit for
-// bit before the shared digest is recorded.
+// tensor, keyed by case name. The f32 case runs on every kernel tier the
+// host has — the ZMM kernel, the YMM kernel forced in its place, and the
+// portable kernel — and the tiers must agree bit for bit before the
+// shared digest is recorded.
 func goldenLogitsDigests(t *testing.T) map[string]string {
 	t.Helper()
 	digests := map[string]string{}
@@ -84,12 +93,23 @@ func goldenLogitsDigests(t *testing.T) map[string]string {
 
 			f32 := logitsDigest(plan.Forward(x))
 			if tensor.F32SIMDAvailable() {
+				tier := tensor.F32KernelName()
+				prevWide := setF32Wide(false)
+				if tier == tensor.KernelAVX512 {
+					if ymm := tensor.F32KernelName(); ymm != tensor.KernelAVX2 {
+						t.Fatalf("setF32Wide(false) left the f32 tier at %q", ymm)
+					}
+					if d := logitsDigest(plan.Forward(x)); d != f32 {
+						t.Errorf("%s: %s f32 digest %s, %s tier %s", name, tensor.KernelAVX2, d, tier, f32)
+					}
+				}
+				setF32Wide(prevWide)
 				prev := tensor.SetF32SIMD(false)
 				portable := logitsDigest(plan.Forward(x))
 				tensor.SetF32SIMD(prev)
 				if portable != f32 {
 					t.Errorf("%s: portable f32 digest %s, %s tier %s",
-						name, portable, tensor.F32KernelName(), f32)
+						name, portable, tier, f32)
 				}
 			}
 			digests[name+"/f32"] = f32

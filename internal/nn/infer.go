@@ -12,9 +12,10 @@ import (
 // immutable InferencePlan: inference-mode BatchNorm2D layers are folded
 // into the preceding convolution's weights, bias / residual add / ReLU are
 // fused into the GEMM epilogue, and every convolution runs as a single
-// GEMM over the whole batch. On the AVX2 tier that GEMM is an implicit
-// GEMM (tensor.GEMMPackedConv): the kernel gathers its input panels
-// straight from the activation, so no im2col matrix is ever written. The
+// GEMM over the whole batch. On the SIMD tiers that GEMM is an implicit
+// GEMM (tensor.GEMMPackedConv): the kernel reads its input panels in place
+// or gathers them straight from the activation, so no im2col matrix is
+// ever written. The
 // portable tier writes the batched im2col matrix (tensor.Im2ColBatch) and
 // runs the blocked tensor.GEMMPackedRaw on it; the two tiers give
 // bit-identical logits. Activations live in three fixed "registers" of a

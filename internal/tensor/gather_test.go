@@ -60,13 +60,14 @@ func im2col(s ConvSrc) (col []float32, rows, cols int) {
 
 // convGrid covers k in {1, 3}, stride in {1, 2}, pad in {0, 1}, both
 // layouts, output widths below 16 (panels straddle output rows and
-// samples) and above it, and column counts that are not multiples of 16.
+// samples) and from 18 up (interior, border and stride-2 panels all
+// occur), and column counts that are not multiples of 16.
 func convGrid() []convCase {
 	var grid []convCase
 	for _, k := range []int{1, 3} {
 		for _, stride := range []int{1, 2} {
 			for _, pad := range []int{0, 1} {
-				for _, hw := range [][2]int{{5, 5}, {7, 4}, {9, 13}, {2, 3}, {20, 37}} {
+				for _, hw := range [][2]int{{5, 5}, {7, 4}, {9, 13}, {2, 3}, {20, 37}, {6, 41}} {
 					for _, cnhw := range []bool{false, true} {
 						g := convCase{n: 3, c: 2, h: hw[0], w: hw[1], k: k, stride: stride, pad: pad, cnhw: cnhw}
 						if g.h+2*pad < k || g.w+2*pad < k {
@@ -79,15 +80,27 @@ func convGrid() []convCase {
 		}
 	}
 	// Deep enough that a k block starts mid-kernel-window (pc = 256 is
-	// channel 28, tap (1, 1) at k = 3).
+	// channel 28, tap (1, 1) at k = 3); the 21-wide ones also put interior
+	// (in-place) panels in that k block.
 	grid = append(grid, convCase{n: 2, c: 40, h: 6, w: 5, k: 3, stride: 1, pad: 1, cnhw: true},
-		convCase{n: 1, c: 300, h: 3, w: 17, k: 1, stride: 1, pad: 0})
+		convCase{n: 1, c: 300, h: 3, w: 17, k: 1, stride: 1, pad: 0},
+		convCase{n: 2, c: 32, h: 6, w: 21, k: 3, stride: 1, pad: 1, cnhw: true},
+		convCase{n: 2, c: 30, h: 5, w: 21, k: 3, stride: 1, pad: 0})
 	return grid
 }
 
+// wideOut reports whether g's output rows are wide enough for whole
+// 16-column panels inside one row (in place where the taps allow).
+func (g convCase) wideOut() bool {
+	return (g.w+2*g.pad-g.k)/g.stride+1 >= 18
+}
+
 // TestGatherMatchesIm2Col: every panel gatherB16 reads straight from the
-// source has the float bits packB16 copies out of Im2ColBatch's matrix,
-// at every k block and column offset of the grid.
+// source through its k block's convTable has the float bits packB16
+// copies out of Im2ColBatch's matrix, at every k block (also ones that
+// start mid-window) and column offset of the grid. Wherever inPlaceB16
+// accepts a panel, each of its rows Data[x + off[p]:][:16] must be that
+// im2col row too, since the ZMM kernel reads it there without a copy.
 func TestGatherMatchesIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, g := range convGrid() {
@@ -96,26 +109,45 @@ func TestGatherMatchesIm2Col(t *testing.T) {
 			col, rows, cols := im2col(s)
 			outH, outW := s.OutSize()
 			var got, want [gemmKC * gemmF32NR]float32
+			var tab convTable
+			inPlace := 0
 			for pc := 0; pc < rows; pc += gemmKC {
 				for _, start := range []int{pc, pc + 1} {
 					kc := min(rows-start, gemmKC)
 					if kc <= 0 {
 						continue
 					}
+					buildConvTable(&tab, &s, start, kc)
 					for jb := 0; jb < cols; jb += gemmF32NR {
 						w := min(cols-jb, gemmF32NR)
 						for i := range got {
 							got[i], want[i] = 1, 1 // stale scratch must be overwritten
 						}
-						gatherB16(&s, outH, outW, start, kc, jb, w, &got)
+						gatherB16(&s, &tab, outH, outW, kc, jb, w, &got)
 						packB16(cols, col, start, kc, jb, w, &want)
 						if i := f32BitsDiff(got[:kc*gemmF32NR], want[:kc*gemmF32NR]); i >= 0 {
 							t.Fatalf("pc %d jb %d: panel[%d] (row %d col %d) bits %x, im2col %x",
 								start, jb, i, start+i/gemmF32NR, jb+i%gemmF32NR,
 								math.Float32bits(got[i]), math.Float32bits(want[i]))
 						}
+						x, ok := inPlaceB16(&s, outH, outW, jb)
+						if !ok || w < gemmF32NR {
+							continue
+						}
+						inPlace++
+						for p := 0; p < kc; p++ {
+							row := s.Data[x+tab.off[p]:][:gemmF32NR]
+							if i := f32BitsDiff(row, want[p*gemmF32NR:(p+1)*gemmF32NR]); i >= 0 {
+								t.Fatalf("pc %d jb %d: in-place row %d col %d bits %x, im2col %x",
+									start, jb, start+p, jb+i, math.Float32bits(row[i]),
+									math.Float32bits(want[p*gemmF32NR+i]))
+							}
+						}
 					}
 				}
+			}
+			if g.stride == 1 && g.wideOut() && (g.k == 1 || g.h+2*g.pad >= g.k+2) && inPlace == 0 {
+				t.Fatalf("no panel of %v is read in place", g)
 			}
 		})
 	}
@@ -123,42 +155,54 @@ func TestGatherMatchesIm2Col(t *testing.T) {
 
 // TestGEMMPackedConvMatchesIm2Col: the implicit-GEMM convolution gives the
 // bits of GEMMPackedRaw over Im2ColBatch's matrix, on both kernel tiers
-// of the reference, for every epilogue, row counts off the quad grid, and
-// serial and parallel splits.
+// of the reference, for every epilogue, row counts off the quad grid and
+// (on wide outputs) 12, 16, 24 and 44 rows — whole ZMM groups with and
+// without YMM leftover quads — and serial and parallel splits. It runs
+// once per SIMD kernel the host has: the ZMM dispatch and the forced YMM
+// kernel.
 func TestGEMMPackedConvMatchesIm2Col(t *testing.T) {
 	if !F32SIMDAvailable() {
 		t.Skip("AVX2 f32 kernel not available on this host")
 	}
-	rng := rand.New(rand.NewSource(22))
-	for gi, g := range convGrid() {
-		s := g.src(rng)
-		col, rows, cols := im2col(s)
-		m := []int{4, 6, 12, 1}[gi%4]
-		a := randF32s(rng, m*rows)
-		pa := PackA(m, rows, a)
-		ep := epilogueVariant(rng, gi%8, m, cols)
-		for _, simd := range []bool{true, false} {
-			prev := SetF32SIMD(simd)
-			want := make([]float32, m*cols)
-			GEMMPackedRaw(pa, cols, col, want, ep)
-			SetF32SIMD(prev)
-			for _, procs := range []int{1, 3} {
-				old := runtime.GOMAXPROCS(procs)
-				got := make([]float32, m*cols)
-				GEMMPackedConv(pa, s, got, ep)
-				runtime.GOMAXPROCS(old)
-				if i := f32BitsDiff(got, want); i >= 0 {
-					t.Fatalf("%v m=%d simd=%v procs=%d: c[%d] bits %x, im2col GEMM %x", g, m, simd, procs,
-						i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+	forEachF32Kernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		for gi, g := range convGrid() {
+			s := g.src(rng)
+			col, rows, cols := im2col(s)
+			ms := []int{[]int{4, 6, 12, 1}[gi%4]}
+			if g.wideOut() {
+				ms = append(ms, 16, 24, 44)
+			}
+			for mi, m := range ms {
+				a := randF32s(rng, m*rows)
+				pa := PackA(m, rows, a)
+				ep := epilogueVariant(rng, (gi+mi)%8, m, cols)
+				for _, simd := range []bool{true, false} {
+					prev := SetF32SIMD(simd)
+					want := make([]float32, m*cols)
+					GEMMPackedRaw(pa, cols, col, want, ep)
+					SetF32SIMD(prev)
+					for _, procs := range []int{1, 3} {
+						old := runtime.GOMAXPROCS(procs)
+						got := make([]float32, m*cols)
+						GEMMPackedConv(pa, s, got, ep)
+						runtime.GOMAXPROCS(old)
+						if i := f32BitsDiff(got, want); i >= 0 {
+							t.Fatalf("%s: %v m=%d simd=%v procs=%d: c[%d] bits %x, im2col GEMM %x", F32KernelName(),
+								g, m, simd, procs, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestGEMMPackedConvWarmAllocs: the implicit GEMM gathers into stack
-// scratch, so a warm serial call allocates nothing. The 40-wide output
-// rows give interior and border panels, and m = 6 a partial row quad.
+// scratch and keeps its conv table on the stack, so a warm serial call
+// allocates nothing. The 40-wide output rows give interior and border
+// panels; m = 12 reads the interior ones in place on the ZMM tier, and
+// m = 14 adds a partial row quad, so every panel is gathered.
 func TestGEMMPackedConvWarmAllocs(t *testing.T) {
 	if !F32SIMDAvailable() {
 		t.Skip("AVX2 f32 kernel not available on this host")
@@ -169,14 +213,21 @@ func TestGEMMPackedConvWarmAllocs(t *testing.T) {
 	g := convCase{n: 2, c: 3, h: 9, w: 40, k: 3, stride: 1, pad: 1, cnhw: true}
 	s := g.src(rng)
 	outH, outW := s.OutSize()
-	const m = 6
-	pa := PackA(m, s.C*s.K*s.K, randF32s(rng, m*s.C*s.K*s.K))
+	const m = 14
+	rows := s.C * s.K * s.K
+	a := randF32s(rng, m*rows)
+	pa12, pa14 := PackA(12, rows, a), PackA(m, rows, a)
 	c := make([]float32, m*s.N*outH*outW)
-	ep := Epilogue{RowBias: randF32s(rng, m), ReLU: true}
+	ep12 := Epilogue{RowBias: randF32s(rng, 12), ReLU: true}
+	ep14 := Epilogue{RowBias: randF32s(rng, m), ReLU: true}
 	alloctest.Run(t, "smol/internal/tensor.gatherB16", 0, func() {
-		GEMMPackedConv(pa, s, c, ep)
+		GEMMPackedConv(pa12, s, c, ep12)
+		GEMMPackedConv(pa14, s, c, ep14)
 	},
 		"smol/internal/tensor.gemmF32RangeAVX2",
+		"smol/internal/tensor.buildConvTable",
+		"smol/internal/tensor.colOrigin",
+		"smol/internal/tensor.inPlaceB16",
 		"smol/internal/tensor.copy16",
 		"smol/internal/tensor.tileEdge",
 		"smol/internal/tensor.applyEpilogueAVX2")

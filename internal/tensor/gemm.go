@@ -9,9 +9,10 @@ import (
 // kernel of the compiled inference path: every convolution runs as one
 // batched matrix multiply per layer, with bias, residual add, and ReLU
 // folded into the epilogue so the activation tensor is touched exactly
-// once. On the AVX2 tier the convolution is an implicit GEMM
-// (GEMMPackedConv, simd.go): the kernel gathers each 16-column b panel
-// straight from the activation and no im2col matrix exists. The portable
+// once. On the SIMD tiers the convolution is an implicit GEMM
+// (GEMMPackedConv, simd.go): the kernel reads each 16-column b panel in
+// place or gathers it straight from the activation, and no im2col matrix
+// exists. The portable
 // kernels in this file multiply a materialized b, which for a
 // convolution is Im2ColBatch's output.
 //

@@ -166,3 +166,176 @@ norelu:
 
 	VZEROUPPER
 	RET
+
+// func gemmF32Tile12x16(a *float32, aStride int, b *float32, off *int, c *float32, kc, cStride, first int)
+//
+// AVX-512 f32 GEMM microkernel: a 12-row x 16-column tile of c, k-depth
+// kc, one ZMM accumulator per row. a points at the first of three
+// MR-interleaved row quads, aStride elements apart (quad q's k-th step is
+// the 16 bytes at a + q*aStride + 4k). b is a base pointer and off a table
+// of kc element offsets: k row p of the 16-column b panel is the 16
+// contiguous floats at b + off[p]. A gathered panel is the table
+// off[p] = 16p over stack scratch; an in-place panel is the conv's tap
+// table over the activation itself. c is the output tile origin with row
+// stride cStride elements.
+//
+// The bit-identity contract is gemmF32Tile4x16's: one VBROADCASTSS of a
+// per row kept as the multiply's src1, a separate VMULPS + VADDPS per
+// accumulator (never FMA), p ascending, and first != 0 seeding the
+// accumulators with the p == 0 products instead of loading c.
+TEXT ·gemmF32Tile12x16(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), SI
+	MOVQ aStride+8(FP), R12
+	MOVQ b+16(FP), BX
+	MOVQ off+24(FP), R14
+	MOVQ c+32(FP), DI
+	MOVQ kc+40(FP), CX
+	MOVQ cStride+48(FP), DX
+	MOVQ first+56(FP), R8
+
+	SHLQ $2, R12 // quad stride in bytes: quad 1 at (SI)(R12*1), quad 2 at (SI)(R12*2)
+	SHLQ $2, DX  // c row stride in bytes
+
+	CMPQ R8, $0
+	JNE  seed
+
+	// Accumulate mode: start from the existing c tile.
+	MOVQ    DI, R9
+	VMOVUPS (R9), Z0
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z1
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z2
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z3
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z4
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z5
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z6
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z7
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z8
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z9
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z10
+	ADDQ    DX, R9
+	VMOVUPS (R9), Z11
+	JMP     kloop
+
+seed:
+	// First k block: accumulators = a[., 0] * b[0, .], no zero-init pass.
+	MOVQ    (R14), AX
+	ADDQ    $8, R14
+	VMOVUPS (BX)(AX*4), Z12
+
+	VBROADCASTSS (SI), Z13
+	VMULPS       Z12, Z13, Z0
+	VBROADCASTSS 4(SI), Z13
+	VMULPS       Z12, Z13, Z1
+	VBROADCASTSS 8(SI), Z13
+	VMULPS       Z12, Z13, Z2
+	VBROADCASTSS 12(SI), Z13
+	VMULPS       Z12, Z13, Z3
+	VBROADCASTSS (SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z4
+	VBROADCASTSS 4(SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z5
+	VBROADCASTSS 8(SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z6
+	VBROADCASTSS 12(SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z7
+	VBROADCASTSS (SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z8
+	VBROADCASTSS 4(SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z9
+	VBROADCASTSS 8(SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z10
+	VBROADCASTSS 12(SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z11
+
+	ADDQ $16, SI
+	DECQ CX
+	JZ   store
+
+kloop:
+	MOVQ    (R14), AX
+	ADDQ    $8, R14
+	VMOVUPS (BX)(AX*4), Z12
+
+	// Quad 0.
+	VBROADCASTSS (SI), Z13
+	VMULPS       Z12, Z13, Z14
+	VADDPS       Z14, Z0, Z0
+	VBROADCASTSS 4(SI), Z13
+	VMULPS       Z12, Z13, Z15
+	VADDPS       Z15, Z1, Z1
+	VBROADCASTSS 8(SI), Z13
+	VMULPS       Z12, Z13, Z14
+	VADDPS       Z14, Z2, Z2
+	VBROADCASTSS 12(SI), Z13
+	VMULPS       Z12, Z13, Z15
+	VADDPS       Z15, Z3, Z3
+
+	// Quad 1.
+	VBROADCASTSS (SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z14
+	VADDPS       Z14, Z4, Z4
+	VBROADCASTSS 4(SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z15
+	VADDPS       Z15, Z5, Z5
+	VBROADCASTSS 8(SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z14
+	VADDPS       Z14, Z6, Z6
+	VBROADCASTSS 12(SI)(R12*1), Z13
+	VMULPS       Z12, Z13, Z15
+	VADDPS       Z15, Z7, Z7
+
+	// Quad 2.
+	VBROADCASTSS (SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z14
+	VADDPS       Z14, Z8, Z8
+	VBROADCASTSS 4(SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z15
+	VADDPS       Z15, Z9, Z9
+	VBROADCASTSS 8(SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z14
+	VADDPS       Z14, Z10, Z10
+	VBROADCASTSS 12(SI)(R12*2), Z13
+	VMULPS       Z12, Z13, Z15
+	VADDPS       Z15, Z11, Z11
+
+	ADDQ $16, SI
+	DECQ CX
+	JNZ  kloop
+
+store:
+	VMOVUPS Z0, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z1, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z2, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z3, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z4, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z5, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z6, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z7, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z8, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z9, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z10, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z11, (DI)
+
+	VZEROUPPER
+	RET

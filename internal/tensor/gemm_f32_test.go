@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"smol/internal/analysis/alloctest"
+	"smol/internal/cpu"
 )
 
 // The f32 SIMD tier's whole contract is bit identity: the AVX2 microkernel
@@ -30,6 +31,24 @@ func randF32s(rng *rand.Rand, n int) []float32 {
 		s[i] = rng.Float32()*2 - 1
 	}
 	return s
+}
+
+// forEachF32Kernel runs body once per SIMD microkernel this host can
+// dispatch: with the ZMM kernel on (where AVX-512 is available) and with
+// it forced off, so the YMM kernel carries every row quad. Bodies name
+// F32KernelName() in their failure messages.
+func forEachF32Kernel(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	tiers := []bool{false}
+	if f32WideSupported() {
+		tiers = []bool{true, false}
+	}
+	for _, wide := range tiers {
+		func() {
+			defer setF32Wide(setF32Wide(wide))
+			body(t)
+		}()
+	}
 }
 
 func epilogueVariant(rng *rand.Rand, variant, m, n int) Epilogue {
@@ -57,6 +76,7 @@ func TestGEMMF32AsmMatchesPortable(t *testing.T) {
 		{1, 1, 1}, {3, 5, 15}, {4, 3, 16}, {5, 7, 33}, {8, 16, 64},
 		{7, 27, 70}, {4, 257, 16}, {13, 300, 45}, {16, 256, 512},
 		{12, 32, 530}, {9, 513, 100}, {17, 259, 529},
+		{24, 300, 48}, {44, 108, 80},
 	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -66,18 +86,18 @@ func TestGEMMF32AsmMatchesPortable(t *testing.T) {
 				bm := randF32s(rng, k*n)
 				ep := epilogueVariant(rng, variant, m, n)
 
-				asmC := make([]float32, m*n)
-				prev := SetF32SIMD(true)
-				GEMMRaw(m, k, n, a, bm, asmC, ep)
-				SetF32SIMD(false)
+				defer SetF32SIMD(SetF32SIMD(false))
 				goC := make([]float32, m*n)
 				GEMMRaw(m, k, n, a, bm, goC, ep)
-				SetF32SIMD(prev)
-
-				if i := f32BitsDiff(asmC, goC); i >= 0 {
-					t.Fatalf("shape %v ep %d: asm c[%d] = %x, portable %x", sh, variant, i,
-						math.Float32bits(asmC[i]), math.Float32bits(goC[i]))
-				}
+				SetF32SIMD(true)
+				forEachF32Kernel(t, func(t *testing.T) {
+					asmC := make([]float32, m*n)
+					GEMMRaw(m, k, n, a, bm, asmC, ep)
+					if i := f32BitsDiff(asmC, goC); i >= 0 {
+						t.Fatalf("%s: shape %v ep %d: asm c[%d] = %x, portable %x", F32KernelName(), sh, variant, i,
+							math.Float32bits(asmC[i]), math.Float32bits(goC[i]))
+					}
+				})
 			})
 		}
 	}
@@ -114,43 +134,48 @@ func TestGEMMF32PropertySweep(t *testing.T) {
 }
 
 // TestGEMMF32SpecialValues: -0.0, NaN, and infinities must propagate
-// through the microkernel and the vectorized ReLU exactly like the scalar
+// through the microkernels and the vectorized ReLU exactly like the scalar
 // code — ReLU keeps -0.0 and NaN (v < 0 is false for both), and a compare
-// -and-mask must not canonicalize them the way VMAXPS would.
+// -and-mask must not canonicalize them the way VMAXPS would. m = 12 and 24
+// put the special rows into whole ZMM groups.
 func TestGEMMF32SpecialValues(t *testing.T) {
 	if !F32SIMDAvailable() {
 		t.Skip("AVX2 f32 kernel not available on this host")
 	}
 	rng := rand.New(rand.NewSource(13))
-	const m, k, n = 8, 37, 48
+	const k, n = 37, 48
 	nan := float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
-	for variant := 0; variant < 8; variant++ {
-		a := randF32s(rng, m*k)
-		bm := randF32s(rng, k*n)
-		// Whole rows of zeros times anything give -0.0 sums; seeded NaN and
-		// +-Inf exercise payload and sign propagation.
-		for p := 0; p < k; p++ {
-			a[p] = negZero
-		}
-		a[3*k+1] = nan
-		a[5*k+2] = inf
-		bm[7*n+5] = nan
-		bm[2*n+11] = -inf
-		ep := epilogueVariant(rng, variant, m, n)
+	defer SetF32SIMD(F32SIMDActive())
+	for _, m := range []int{8, 12, 24} {
+		for variant := 0; variant < 8; variant++ {
+			a := randF32s(rng, m*k)
+			bm := randF32s(rng, k*n)
+			// Whole rows of zeros times anything give -0.0 sums; seeded NaN
+			// and +-Inf exercise payload and sign propagation.
+			for p := 0; p < k; p++ {
+				a[p] = negZero
+			}
+			a[3*k+1] = nan
+			a[5*k+2] = inf
+			a[(m-1)*k+4] = nan
+			bm[7*n+5] = nan
+			bm[2*n+11] = -inf
+			ep := epilogueVariant(rng, variant, m, n)
 
-		asmC := make([]float32, m*n)
-		prev := SetF32SIMD(true)
-		GEMMRaw(m, k, n, a, bm, asmC, ep)
-		SetF32SIMD(false)
-		goC := make([]float32, m*n)
-		GEMMRaw(m, k, n, a, bm, goC, ep)
-		SetF32SIMD(prev)
-
-		if i := f32BitsDiff(asmC, goC); i >= 0 {
-			t.Fatalf("ep %d: asm c[%d] bits %x, portable %x", variant, i,
-				math.Float32bits(asmC[i]), math.Float32bits(goC[i]))
+			SetF32SIMD(false)
+			goC := make([]float32, m*n)
+			GEMMRaw(m, k, n, a, bm, goC, ep)
+			SetF32SIMD(true)
+			forEachF32Kernel(t, func(t *testing.T) {
+				asmC := make([]float32, m*n)
+				GEMMRaw(m, k, n, a, bm, asmC, ep)
+				if i := f32BitsDiff(asmC, goC); i >= 0 {
+					t.Fatalf("%s: m %d ep %d: asm c[%d] bits %x, portable %x", F32KernelName(), m, variant, i,
+						math.Float32bits(asmC[i]), math.Float32bits(goC[i]))
+				}
+			})
 		}
 	}
 }
@@ -225,16 +250,46 @@ func TestSetF32SIMD(t *testing.T) {
 	if F32SIMDActive() {
 		t.Fatal("kernel active after SetF32SIMD(false)")
 	}
+	if got := F32KernelName(); got != KernelPortable {
+		t.Fatalf("F32KernelName() = %q with the SIMD tier off, want %q", got, KernelPortable)
+	}
 	SetF32SIMD(true)
 	if F32SIMDActive() != F32SIMDAvailable() {
 		t.Fatalf("SetF32SIMD(true): active %v, available %v", F32SIMDActive(), F32SIMDAvailable())
 	}
+	for _, wide := range []bool{false, true} {
+		prev := setF32Wide(wide)
+		want := KernelPortable
+		switch {
+		case F32SIMDAvailable() && wide && f32WideSupported():
+			want = KernelAVX512
+		case F32SIMDAvailable():
+			want = KernelAVX2
+		}
+		if got := F32KernelName(); got != want {
+			t.Fatalf("F32KernelName() = %q with setF32Wide(%v), want %q", got, wide, want)
+		}
+		setF32Wide(prev)
+	}
+}
+
+// TestF32KernelTier logs which f32 kernel tier this host dispatches by
+// default and checks it against the detected features: AVX-512 without
+// the SMOL_NOSIMD veto must mean the ZMM kernel, AVX2 alone the YMM
+// kernel, neither the portable one. Run with -v, its log line records
+// which tier a CI runner actually exercised.
+func TestF32KernelTier(t *testing.T) {
+	t.Logf("cpu: avx2 %v (dispatchable %v), avx512f %v (dispatchable %v); f32 kernel %q, int8 kernel %q",
+		cpu.AVX2Supported(), cpu.AVX2(), cpu.AVX512Supported(), cpu.AVX512(), F32KernelName(), Int8KernelName())
 	want := KernelPortable
-	if F32SIMDAvailable() {
+	switch {
+	case cpu.AVX512():
+		want = KernelAVX512
+	case cpu.AVX2():
 		want = KernelAVX2
 	}
 	if got := F32KernelName(); got != want {
-		t.Fatalf("F32KernelName() = %q, want %q", got, want)
+		t.Fatalf("F32KernelName() = %q, want %q for the detected features", got, want)
 	}
 }
 
@@ -258,6 +313,8 @@ func TestGEMMF32WarmAllocs(t *testing.T) {
 		GEMMPackedRaw(pa, n, bm, c, ep)
 	},
 		"smol/internal/tensor.packAF32",
+		"smol/internal/tensor.buildConvTable",
+		"smol/internal/tensor.inPlaceB16",
 		"smol/internal/tensor.gatherB16",
 		"smol/internal/tensor.applyEpilogueAVX2")
 }

@@ -5,36 +5,63 @@ import (
 	"sync/atomic"
 )
 
-// SIMD f32 GEMM tier: a-operand packing, b-panel gathering (which makes a
-// convolution an implicit GEMM), dispatch, and the runtime toggle.
+// SIMD f32 GEMM tier: a-operand packing, the per-k-block conv table and
+// b-panel gather (which make a convolution an implicit GEMM), dispatch,
+// and the runtime toggles.
 //
-// The AVX2 microkernel (gemm_f32_amd64.s) is bit-identical to the portable
-// gemm4/gemm1 path: vector lanes are distinct output columns, every k step
-// uses a separate multiply and add (no FMA contraction), and steps walk k
-// in ascending order — so no single output element's sum is ever reordered
-// or fused differently from the scalar code. That makes the portable
-// kernel a true equivalence oracle, and lets the toggle below flip
-// mid-process without changing any result.
+// Two microkernels (gemm_f32_amd64.s) share one contract: the AVX2 4x16
+// tile (two YMM vectors per row) and, on AVX-512 hosts, the 12x16 tile
+// (one ZMM vector per row, three row quads). Both are bit-identical to the
+// portable gemm4/gemm1 path: vector lanes are distinct output columns,
+// every k step uses a separate multiply and add (no FMA contraction), and
+// steps walk k in ascending order — so no single output element's sum is
+// ever reordered or fused differently from the scalar code. That makes
+// the portable kernel a true equivalence oracle, and lets the toggles
+// below flip mid-process without changing any result.
+//
+// The 12x16 kernel reads its b panel through a table of per-k-row
+// offsets, so when it covers every row of a GEMM, a stride-1 conv panel
+// whose taps all lie inside the input is read straight from the
+// activation (the indirection of Dukhan, "The Indirect Convolution
+// Algorithm") and only border, stride-2 and partial panels are gathered.
+// AVX2-only hosts gather every panel.
 
 const (
 	// gemmF32NR is the microkernel tile width: 16 f32 columns = 2 YMM
-	// vectors per row.
+	// vectors or 1 ZMM vector per row.
 	gemmF32NR = 16
+	// gemmWideMR is the 12x16 kernel's tile height: three row quads.
+	gemmWideMR = 3 * gemmMR
 
-	// KernelAVX2 and KernelPortable name the f32/int8 kernel tiers in
-	// plans, calibration records, and -explain output.
+	// KernelAVX512, KernelAVX2 and KernelPortable name the f32/int8
+	// kernel tiers in plans, calibration records, and -explain output.
+	KernelAVX512   = "avx512"
 	KernelAVX2     = "avx2"
 	KernelPortable = "portable"
 )
 
-// gemmF32Asm gates dispatch to the AVX2 f32 microkernel. It starts at
-// cpu.AVX2() and only SetF32SIMD moves it (smol-query -nosimd, oracle
-// tests). Atomic because a flip may land while other goroutines are inside
-// a GEMM; the kernels are bit-identical, so a mid-flight flip is harmless —
-// each GEMM call reads the flag once.
+// gemmF32Asm gates dispatch to the SIMD f32 tier. It starts at cpu.AVX2()
+// and only SetF32SIMD moves it (smol-query -nosimd, oracle tests). Atomic
+// because a flip may land while other goroutines are inside a GEMM; the
+// kernels are bit-identical, so a mid-flight flip is harmless — each GEMM
+// call reads the flag once.
 var gemmF32Asm atomic.Bool
 
-// SetF32SIMD enables or disables the AVX2 f32 GEMM tier process-wide and
+// gemmF32Wide selects the 12x16 ZMM kernel (and in-place conv panels)
+// inside the SIMD tier. It starts at cpu.AVX512(); only setF32Wide moves
+// it. It has no effect while gemmF32Asm is off.
+var gemmF32Wide atomic.Bool
+
+// setF32Wide enables or disables the ZMM kernel and reports the previous
+// setting; enabling is a no-op without AVX-512. It is the equivalence
+// tests' hook for forcing the YMM kernel on an AVX-512 host (the nn golden
+// test reaches it by linkname), not a tuning knob: the kernels are
+// bit-identical.
+func setF32Wide(enable bool) (previous bool) {
+	return gemmF32Wide.Swap(enable && f32WideSupported())
+}
+
+// SetF32SIMD enables or disables the SIMD f32 GEMM tier process-wide and
 // reports the previous setting. Enabling is a no-op on builds or hardware
 // without the kernel. Because the tiers are bit-identical this only moves
 // throughput, never results.
@@ -42,20 +69,25 @@ func SetF32SIMD(enable bool) (previous bool) {
 	return gemmF32Asm.Swap(enable && f32SIMDSupported())
 }
 
-// F32SIMDActive reports whether f32 GEMMs currently dispatch to the AVX2
+// F32SIMDActive reports whether f32 GEMMs currently dispatch to a SIMD
 // microkernel.
 func F32SIMDActive() bool { return gemmF32Asm.Load() }
 
-// F32SIMDAvailable reports whether this build and CPU carry the AVX2 f32
-// microkernel at all, regardless of the runtime toggle.
+// F32SIMDAvailable reports whether this build and CPU carry the SIMD f32
+// microkernels at all, regardless of the runtime toggle.
 func F32SIMDAvailable() bool { return f32SIMDSupported() }
 
-// F32KernelName names the active f32 GEMM kernel tier.
+// F32KernelName names the active f32 GEMM kernel tier: "avx512" when the
+// ZMM kernel is dispatched, "avx2" for the YMM kernel alone, "portable"
+// otherwise.
 func F32KernelName() string {
-	if F32SIMDActive() {
-		return KernelAVX2
+	switch {
+	case !F32SIMDActive():
+		return KernelPortable
+	case gemmF32Wide.Load():
+		return KernelAVX512
 	}
-	return KernelPortable
+	return KernelAVX2
 }
 
 // Int8KernelName names the active int8 GEMM kernel tier.
@@ -149,96 +181,153 @@ func denseSrc(k, n int, b []float32) ConvSrc {
 	return ConvSrc{Data: b, N: 1, C: k, H: 1, W: n, SampleStride: k * n, ChanStride: n, K: 1, Stride: 1}
 }
 
-// gatherSeg is a run of panel columns [j0, j1) that share one sample and
-// one output row, so their source pixels sit in one input row, Stride
-// apart.
-type gatherSeg struct {
-	j0, j1   int
-	base     int // Data offset of the sample
-	iy0, ix0 int // input coordinates of column j0 before the kernel offset
+// convTable is one k block of a ConvSrc's im2col rows: for row pc+p, the
+// Data offset of its tap (ci, ky, kx) from a column's window origin,
+// off[p] = ci*ChanStride + ky*W + kx, and the tap's ky and kx. It is built
+// once per k block and shared by every panel of the block: the gather
+// walks it row by row, and for an in-place panel it is the ZMM kernel's b
+// table. At gemmKC depth it is 4 KiB of stack.
+type convTable struct {
+	off    [gemmKC]int
+	ky, kx [gemmKC]int32
 }
 
-// gatherB16 writes the (kc x 16) panel of s's im2col matrix at k-block pc
-// and columns [jb, jb+w) into dst: dst[p*16 + j] = B[pc+p][jb+j], and 0 for
-// the padding columns w <= j < 16. The rows walk (ci, ky, kx) in ascending
-// k order, exactly as Im2ColBatch lays them out, so a kernel consuming the
-// panel accumulates every output element in the same order. At gemmKC
-// depth the panel is 16 KiB: L1-resident, and reused by every row quad.
+// gatheredOff is the b table of a gathered panel: row p of the packed
+// scratch starts 16p floats in.
+var gatheredOff = func() (t [gemmKC]int) {
+	for p := range t {
+		t[p] = p * gemmF32NR
+	}
+	return t
+}()
+
+// buildConvTable fills t's first kc rows for the k block starting at pc.
 //
 //smol:noalloc
-func gatherB16(s *ConvSrc, outH, outW, pc, kc, jb, w int, dst *[gemmKC * gemmF32NR]float32) {
-	// Split the panel's columns into runs within one sample's output row.
-	var segs [gemmF32NR]gatherSeg
-	ns := 0
-	ohow := outH * outW
-	for j := 0; j < w; ns++ {
-		col := jb + j
-		i := col / ohow
-		oy := (col - i*ohow) / outW
-		ox := col - i*ohow - oy*outW
-		run := min(outW-ox, w-j)
-		segs[ns] = gatherSeg{j0: j, j1: j + run, base: i * s.SampleStride,
-			iy0: oy*s.Stride - s.Pad, ix0: ox*s.Stride - s.Pad}
-		j += run
+func buildConvTable(t *convTable, s *ConvSrc, pc, kc int) {
+	kk := s.K * s.K
+	ci, ky, kx := pc/kk, pc%kk/s.K, pc%s.K
+	for p := 0; p < kc; p++ {
+		t.off[p] = ci*s.ChanStride + ky*s.W + kx
+		t.ky[p], t.kx[p] = int32(ky), int32(kx)
+		if kx++; kx == s.K {
+			if kx, ky = 0, ky+1; ky == s.K {
+				ky, ci = 0, ci+1
+			}
+		}
 	}
+}
+
+// colOrigin locates column col of s's im2col matrix: the Data offset of
+// its sample, the input coordinates (iy0, ix0) of its window's top-left
+// tap (negative inside the padding), and how many columns from col on
+// stay in its output row.
+//
+//smol:noalloc
+func colOrigin(s *ConvSrc, outH, outW, col int) (base, iy0, ix0, rowLeft int) {
+	ohow := outH * outW
+	i := col / ohow
+	oy := (col - i*ohow) / outW
+	ox := col - i*ohow - oy*outW
+	return i * s.SampleStride, oy*s.Stride - s.Pad, ox*s.Stride - s.Pad, outW - ox
+}
+
+// interior reports whether every tap of a run of output columns lies
+// inside s's input, where the run's windows start at (iy0, ix0) and its
+// first taps cover span input pixels of one row.
+func interior(s *ConvSrc, iy0, ix0, span int) bool {
+	return iy0 >= 0 && iy0+s.K <= s.H && ix0 >= 0 && ix0+span+s.K-1 <= s.W
+}
+
+// inPlaceB16 reports whether the full 16-column panel at column jb can be
+// read straight from s.Data: a stride-1 conv, all 16 columns in one output
+// row, every tap inside the input. Then k row p of the panel is the 16
+// contiguous floats at Data[x + t.off[p]] for the k block's table t.
+//
+//smol:noalloc
+func inPlaceB16(s *ConvSrc, outH, outW, jb int) (x int, ok bool) {
+	if s.Stride != 1 {
+		return 0, false
+	}
+	base, iy0, ix0, left := colOrigin(s, outH, outW, jb)
+	if left < gemmF32NR || !interior(s, iy0, ix0, gemmF32NR) {
+		return 0, false
+	}
+	return base + iy0*s.W + ix0, true
+}
+
+// gatherB16 writes the (kc x 16) panel of s's im2col matrix at the k block
+// t describes and columns [jb, jb+w) into dst: dst[p*16 + j] =
+// B[pc+p][jb+j], and 0 for the padding columns w <= j < 16. Columns are
+// split into runs within one sample's output row; row p of a run reads
+// the input row t.off[p] past the run's window origin. Interior runs copy;
+// stride-1 border runs copy 16 floats when the run fills the panel and
+// zero the lanes outside the input row; rows above or below the input are
+// zeroed. At gemmKC depth the panel is 16 KiB: L1-resident, and reused by
+// every row quad.
+//
+//smol:noalloc
+func gatherB16(s *ConvSrc, t *convTable, outH, outW, kc, jb, w int, dst *[gemmKC * gemmF32NR]float32) {
 	if w < gemmF32NR {
 		for p := 0; p < kc; p++ {
 			clear(dst[p*gemmF32NR+w : (p+1)*gemmF32NR])
 		}
 	}
-	kk := s.K * s.K
-	ci0, ky0, kx0 := pc/kk, pc%kk/s.K, pc%s.K
-	for _, sg := range segs[:ns] {
-		ci, ky, kx := ci0, ky0, kx0
-		span := (sg.j1-sg.j0-1)*s.Stride + 1 // input pixels one tap row covers
-		if sg.iy0 >= 0 && sg.iy0+s.K <= s.H && sg.ix0 >= 0 && sg.ix0+span+s.K-1 <= s.W {
-			// Interior run: every tap lands inside the input, so each row
-			// is a plain (strided) copy from a running offset.
-			off := sg.base + ci*s.ChanStride + (sg.iy0+ky)*s.W + sg.ix0 + kx
+	for j0 := 0; j0 < w; {
+		base, iy0, ix0, left := colOrigin(s, outH, outW, jb+j0)
+		j1 := j0 + min(left, w-j0)
+		span := (j1-j0-1)*s.Stride + 1 // input pixels one tap row covers
+		// x is the Data offset of the run's window origin; it lies outside
+		// Data only for taps in the padding, which are never read.
+		x := base + iy0*s.W + ix0
+		if interior(s, iy0, ix0, span) {
 			for p := 0; p < kc; p++ {
-				out := dst[p*gemmF32NR+sg.j0 : p*gemmF32NR+sg.j1]
+				out := dst[p*gemmF32NR+j0 : p*gemmF32NR+j1]
+				xp := x + t.off[p]
 				if s.Stride == 1 && len(out) == gemmF32NR {
-					copy16(out, s.Data[off:])
+					copy16(out, s.Data[xp:])
 				} else {
-					in := s.Data[off : off+span]
+					in := s.Data[xp : xp+span]
 					for j := range out {
 						out[j] = in[j*s.Stride]
 					}
 				}
-				off++
-				if kx++; kx == s.K {
-					kx, ky, off = 0, ky+1, off+s.W-s.K
-					if ky == s.K {
-						ky, ci, off = 0, ci+1, off+s.ChanStride-s.K*s.W
-					}
-				}
 			}
+			j0 = j1
 			continue
 		}
 		// Border run: per row, only the taps [lo, hi) land inside the
 		// input; the rest read the zero padding.
 		for p := 0; p < kc; p++ {
-			out := dst[p*gemmF32NR+sg.j0 : p*gemmF32NR+sg.j1]
-			lo, hi := 0, 0
-			if iy := sg.iy0 + ky; iy >= 0 && iy < s.H {
-				ix := sg.ix0 + kx
-				if s.Stride == 1 {
-					lo, hi = -ix, s.W-ix
-				} else {
-					lo, hi = (s.Stride-1-ix)/s.Stride, (s.W-ix+s.Stride-1)/s.Stride
+			out := dst[p*gemmF32NR+j0 : p*gemmF32NR+j1]
+			iy := iy0 + int(t.ky[p])
+			if iy < 0 || iy >= s.H {
+				for j := range out {
+					out[j] = 0
 				}
-				lo = min(max(lo, 0), len(out))
-				hi = max(min(hi, len(out)), lo)
-				if hi > lo {
-					x0 := sg.base + ci*s.ChanStride + iy*s.W + ix + lo*s.Stride
-					if s.Stride == 1 {
-						copy(out[lo:hi], s.Data[x0:x0+hi-lo])
-					} else {
-						in := s.Data[x0 : x0+(hi-lo-1)*s.Stride+1]
-						for j := range out[lo:hi] {
-							out[lo+j] = in[j*s.Stride]
-						}
-					}
+				continue
+			}
+			ix := ix0 + int(t.kx[p])
+			xp := x + t.off[p] // Data offset of tap (iy, ix)
+			var lo, hi int
+			if s.Stride == 1 {
+				lo, hi = -ix, s.W-ix
+			} else {
+				lo, hi = (s.Stride-1-ix)/s.Stride, (s.W-ix+s.Stride-1)/s.Stride
+			}
+			lo = min(max(lo, 0), len(out))
+			hi = max(min(hi, len(out)), lo)
+			switch {
+			case s.Stride == 1 && len(out) == gemmF32NR && xp >= 0 && xp+gemmF32NR <= len(s.Data):
+				copy16(out, s.Data[xp:])
+			case s.Stride == 1:
+				for j := lo; j < hi; j++ {
+					out[j] = s.Data[xp+j]
+				}
+			case hi > lo:
+				in := s.Data[xp+lo*s.Stride : xp+(hi-1)*s.Stride+1]
+				for j := range out[lo:hi] {
+					out[lo+j] = in[j*s.Stride]
 				}
 			}
 			for j := range out[:lo] {
@@ -247,12 +336,8 @@ func gatherB16(s *ConvSrc, outH, outW, pc, kc, jb, w int, dst *[gemmKC * gemmF32
 			for j := hi; j < len(out); j++ {
 				out[j] = 0
 			}
-			if kx++; kx == s.K {
-				if kx, ky = 0, ky+1; ky == s.K {
-					ky, ci = 0, ci+1
-				}
-			}
 		}
+		j0 = j1
 	}
 }
 
@@ -309,12 +394,15 @@ func GEMMPackedRaw(pa *PackedA, n int, b, c []float32, ep Epilogue) {
 
 // GEMMPackedConv is an implicit-GEMM convolution: c = epilogue(pa @ B),
 // where B is src's im2col matrix (see ConvSrc). Each 16-column B panel is
-// gathered straight from src.Data inside the kernel, in the ascending k
-// order Im2ColBatch uses, so no im2col matrix is written and c is bit for
-// bit what GEMMPackedRaw returns on Im2ColBatch's output. c is row-major
-// (m x src.N*outH*outW). It always runs the AVX2 kernel and needs pa's
-// panels, which PackA builds wherever F32SIMDAvailable; the portable tier
-// lowers a convolution through Im2ColBatch + GEMMPackedRaw instead.
+// read in place or gathered straight from src.Data inside the kernel, in
+// the ascending k order Im2ColBatch uses, so no im2col matrix is written
+// and c is bit for bit what GEMMPackedRaw returns on Im2ColBatch's output.
+// c is row-major (m x src.N*outH*outW). It always runs a SIMD kernel — on
+// AVX-512 hosts the ZMM kernel, which reads interior stride-1 panels in
+// place when m is a multiple of 12, and the AVX2 kernel on gathered panels
+// otherwise — and needs pa's panels, which PackA builds wherever
+// F32SIMDAvailable; the portable tier lowers a convolution through
+// Im2ColBatch + GEMMPackedRaw instead.
 func GEMMPackedConv(pa *PackedA, src ConvSrc, c []float32, ep Epilogue) {
 	if pa.panels == nil {
 		panic("tensor: GEMMPackedConv needs the AVX2 f32 kernel")
@@ -346,17 +434,25 @@ func gemmDispatch(m, k, n int, panels, a []float32, b ConvSrc, c []float32, i0, 
 }
 
 // gemmF32RangeAVX2 is the SIMD serial core: the same jc/pc blocking as
-// gemmRange, but b arrives as 16-column panels gathered from b's source
-// into stack scratch, and every row quad runs the 4x16 microkernel. Edge
-// tiles — the zero-padded last a quad when i1%4 != 0, the zero-padded last
-// b panel when the range's width is not a multiple of 16 — run the same
-// kernel through tileEdge. i0 must be a multiple of gemmMR.
+// gemmRange, with b's k block described once by a convTable. On the ZMM
+// tier every whole group of three row quads runs the 12x16 kernel; when
+// those groups are all of the range's rows it reads b in place wherever
+// inPlaceB16 allows, and the gathered panel otherwise. The remaining
+// quads (all of them on the YMM tier) run the 4x16 kernel on the gathered
+// panel; edge tiles — the zero-padded last a quad when i1%4 != 0, the
+// zero-padded last b panel when the range's width is not a multiple of
+// 16 — run it through tileEdge. i0 must be a multiple of gemmMR.
 //
 //smol:noalloc
 func gemmF32RangeAVX2(k, n int, panels []float32, b *ConvSrc, c []float32, i0, i1, j0, j1 int, ep Epilogue) {
 	var bpack [gemmKC * gemmF32NR]float32
+	var tab convTable
 	outH, outW := b.OutSize()
 	quad := i0 + (i1-i0)&^(gemmMR-1)
+	wide := i0
+	if gemmF32Wide.Load() {
+		wide += (quad - i0) / gemmWideMR * gemmWideMR
+	}
 	for jc := j0; jc < j1; jc += gemmNC {
 		nc := min(j1-jc, gemmNC)
 		for pc := 0; pc < k; pc += gemmKC {
@@ -365,11 +461,27 @@ func gemmF32RangeAVX2(k, n int, panels []float32, b *ConvSrc, c []float32, i0, i
 			if pc == 0 {
 				first = 1
 			}
+			buildConvTable(&tab, b, pc, kc)
 			for jb := jc; jb < jc+nc; jb += gemmF32NR {
 				w := min(jc+nc-jb, gemmF32NR)
-				gatherB16(b, outH, outW, pc, kc, jb, w, &bpack)
+				// Read in place only when the ZMM kernel covers every row:
+				// a leftover quad needs the gathered panel anyway.
+				x, inPlace := 0, false
+				if w == gemmF32NR && wide == i1 {
+					x, inPlace = inPlaceB16(b, outH, outW, jb)
+				}
+				if !inPlace {
+					gatherB16(b, &tab, outH, outW, kc, jb, w, &bpack)
+				}
 				i := i0
 				if w == gemmF32NR {
+					src, off := &bpack[0], &gatheredOff[0]
+					if inPlace {
+						src, off = &b.Data[x], &tab.off[0]
+					}
+					for ; i < wide; i += gemmWideMR {
+						gemmF32Tile12x16(&panels[i*k+pc*gemmMR], gemmMR*k, src, off, &c[i*n+jb], kc, n, first)
+					}
 					for ; i < quad; i += gemmMR {
 						gemmF32Tile4x16(&panels[i*k+pc*gemmMR], &bpack[0], &c[i*n+jb], kc, n, first)
 					}

@@ -65,7 +65,8 @@ type ServePlan struct {
 	// below an int8 twin's measured accuracy get the fast tier.
 	Precision string
 	// Kernel names the GEMM kernel tier the plan's forwards execute on
-	// ("avx2" or "portable", tensor.Kernel*). The f32 tiers are
+	// ("avx512", "avx2" or "portable", tensor.Kernel*; int8 plans run
+	// "avx2" or "portable"). The f32 tiers are
 	// bit-identical, so Kernel never affects results — it is -explain
 	// visibility into what the hardware actually runs.
 	Kernel string
